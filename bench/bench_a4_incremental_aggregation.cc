@@ -24,6 +24,7 @@
 #include "storage/database.h"
 #include "util/clock.h"
 #include "util/sha1.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace pisrep::bench {
@@ -50,7 +51,7 @@ struct SizeResult {
 SoftwareMeta ProgramMeta(std::size_t index, std::size_t vendors) {
   SoftwareMeta meta;
   meta.id = util::Sha1::Hash("a4-program-" + std::to_string(index));
-  meta.file_name = "p" + std::to_string(index) + ".exe";
+  meta.file_name = util::StrFormat("p%zu.exe", index);
   meta.file_size = 4096;
   meta.company = "vendor-" + std::to_string(index % vendors);
   meta.version = "1.0";
@@ -85,7 +86,7 @@ class Fixture {
              "register software");
     }
     for (std::size_t u = 0; u < users_; ++u) {
-      std::string name = "u" + std::to_string(u);
+      std::string name = util::StrFormat("u%zu", u);
       MustOk(accounts_->Register(name, "password", name + "@a4.example", 0),
              "register user");
     }

@@ -37,6 +37,7 @@
 #include "util/clock.h"
 #include "util/hex.h"
 #include "util/sha1.h"
+#include "util/string_util.h"
 #include "xml/xml_node.h"
 #include "xml/xml_writer.h"
 
@@ -69,7 +70,7 @@ struct Cell {
 SoftwareMeta ProgramMeta(std::size_t index) {
   SoftwareMeta meta;
   meta.id = util::Sha1::Hash("f12-program-" + std::to_string(index));
-  meta.file_name = "s" + std::to_string(index) + ".exe";
+  meta.file_name = util::StrFormat("s%zu.exe", index);
   meta.file_size = 8192;
   meta.company = "vendor-" + std::to_string(index % 9);
   meta.version = "2.0";
@@ -95,7 +96,7 @@ class Fixture {
              "register software");
     }
     for (std::size_t u = 0; u < shape_.users; ++u) {
-      std::string name = "u" + std::to_string(u);
+      std::string name = util::StrFormat("u%zu", u);
       MustOk(server_->accounts().Register(name, "password",
                                           name + "@f12.example", 0),
              "register user");
@@ -109,7 +110,7 @@ class Fixture {
         record.software = ProgramMeta((u + k * stride) % shape_.programs).id;
         record.score = 1 + static_cast<int>((u * 3 + k) % 10);
         record.submitted_at = 0;
-        record.comment = "c" + std::to_string(k);
+        record.comment = util::StrFormat("c%zu", k);
         MustOk(server_->votes().SubmitRating(record, true, 0.0),
                "submit vote");
       }

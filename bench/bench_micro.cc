@@ -23,6 +23,7 @@
 #include "util/random.h"
 #include "util/sha1.h"
 #include "util/sha256.h"
+#include "util/string_util.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -258,7 +259,7 @@ void BM_AggregationJob(benchmark::State& state) {
   for (int i = 0; i < 100; ++i) {
     core::SoftwareMeta meta;
     meta.id = util::Sha1::Hash("bench-program-" + std::to_string(i));
-    meta.file_name = "p" + std::to_string(i) + ".exe";
+    meta.file_name = util::StrFormat("p%d.exe", i);
     meta.file_size = 1000;
     meta.company = "Vendor-" + std::to_string(i % 10);
     meta.version = "1.0";

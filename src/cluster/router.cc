@@ -82,8 +82,10 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
   // The router retries broadcast legs itself (deferred per-shard retry);
   // digest-plane calls lean on the per-server breaker to fail fast while a
   // shard is down, which the client's own retry/queue machinery absorbs.
+  // Upstream calls speak the compact binary codec: shards negotiate per
+  // frame and answer in kind, and clients still get the codec they spoke.
   rpc_.AttachObservability(metrics, tracer);
-  if (config_.upstream_binary) rpc_.set_codec(proto::WireCodec::kBinary);
+  rpc_.set_codec(proto::WireCodec::kBinary);
   if (metrics_ != nullptr) {
     broadcast_ops_metric_ =
         metrics_->GetCounter("pisrep_cluster_router_broadcast_ops_total");
@@ -200,7 +202,7 @@ void Router::Reply(const std::string& client, const std::string& id,
       if (key == "id") continue;
       response.SetAttribute(key, value);
     }
-    for (const XmlNode& child : result->children()) response.AddChild(child);
+    response.children() = std::move(result->children());
     if (!result->text().empty()) response.set_text(result->text());
     if (!response.HasAttribute("status")) {
       response.SetAttribute("status", "ok");

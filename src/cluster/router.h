@@ -65,9 +65,6 @@ struct RouterConfig {
   /// that index with no per-query fan-out. Vendors absent from the index
   /// (fresh vendor, shard mid-restart) fall back to the scatter.
   util::Duration vendor_index_refresh = 0;
-  /// Speak the compact binary codec on upstream shard calls (shards
-  /// negotiate per frame, so this is safe to flip per router).
-  bool upstream_binary = false;
 };
 
 /// The client-facing front door of the cluster (and, pointed at by a

@@ -197,9 +197,7 @@ XmlNode RpcServer::HandleRequestNode(const XmlNode& request) {
         if (key == "id" || key == "status" || key == "code") continue;
         response.SetAttribute(key, value);
       }
-      for (const XmlNode& child : result->children()) {
-        response.AddChild(child);
-      }
+      response.children() = std::move(result->children());
       if (!result->text().empty()) response.set_text(result->text());
     } else {
       ++requests_failed_;
@@ -521,15 +519,15 @@ void RpcClient::HandleMessage(const Message& message) {
   }
   if (decoded->node.name() == "batch") {
     // The server's one-frame answer to a batch: complete every member.
-    for (const XmlNode& child : decoded->node.children()) {
-      if (child.name() == "response") HandleResponseNode(child);
+    for (XmlNode& child : decoded->node.children()) {
+      if (child.name() == "response") HandleResponseNode(std::move(child));
     }
     return;
   }
-  HandleResponseNode(decoded->node);
+  HandleResponseNode(std::move(decoded->node));
 }
 
-void RpcClient::HandleResponseNode(const XmlNode& response) {
+void RpcClient::HandleResponseNode(XmlNode response) {
   auto id_result = util::ParseInt64(response.AttributeOr("id", ""));
   if (!id_result.ok()) return;
   auto it = pending_.find(static_cast<std::uint64_t>(*id_result));
@@ -538,7 +536,7 @@ void RpcClient::HandleResponseNode(const XmlNode& response) {
   pending_.erase(it);
 
   if (response.AttributeOr("status", "") == "ok") {
-    Complete(std::move(call), Result<XmlNode>(response));
+    Complete(std::move(call), Result<XmlNode>(std::move(response)));
   } else {
     StatusCode code = StatusCodeFromName(response.AttributeOr("code", ""));
     Complete(std::move(call), Status(code, response.text()));

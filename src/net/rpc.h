@@ -267,8 +267,9 @@ class RpcClient {
   void Dispatch(PendingCall call);
   void HandleMessage(const Message& message);
   /// Completes the pending call addressed by one <response> element
-  /// (shared by the single-response and batch-response paths).
-  void HandleResponseNode(const xml::XmlNode& response);
+  /// (shared by the single-response and batch-response paths). Takes the
+  /// decoded element by value so the answer moves into the callback.
+  void HandleResponseNode(xml::XmlNode response);
   /// Fails the still-pending call `id` over to the retry path (timeout
   /// bookkeeping included); no-op when the call was already answered.
   void TimeOutPending(std::uint64_t id);

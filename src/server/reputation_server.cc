@@ -235,16 +235,18 @@ Result<SoftwareInfo> ReputationServer::QuerySoftware(
     if (snapshot != nullptr &&
         snapshot->registry_generation == registry_.content_generation() &&
         snapshot->votes_generation == votes_.content_generation()) {
-      // Nothing changed since publication: the snapshot answer is
-      // bit-identical to what the store walk below would produce, minus
-      // the walk. Any mutation bumps a generation and forces the slow
-      // path until the next publication re-arms the gate.
+      // Nothing but run counters changed since publication: the snapshot
+      // answer, with the run count read live, is bit-identical to what the
+      // store walk below would produce, minus the walk. Any other mutation
+      // bumps a generation and forces the slow path until the next
+      // publication re-arms the gate.
       ++stats_.snapshot_hits;
       if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
       if (snapshot_age_gauge_) {
         snapshot_age_gauge_->Set(Now() - snapshot->published_at);
       }
       SoftwareInfo info = LookupSnapshotInfo(*snapshot, id);
+      info.run_count = registry_.RunCount(id);
       AnnotateManifest(&info);
       return info;
     }

@@ -31,8 +31,9 @@ struct ScoreSnapshot {
   util::TimePoint published_at = 0;
   /// Content generations of the two mutable stores at build time. The
   /// gated read path serves from the snapshot only while these still match
-  /// the live stores, which keeps single-threaded callers bit-compatible
-  /// with the historical always-fresh behaviour.
+  /// the live stores, and reads run counts (which no generation covers)
+  /// live, which keeps single-threaded callers bit-compatible with the
+  /// historical always-fresh behaviour.
   std::uint64_t registry_generation = 0;
   std::uint64_t votes_generation = 0;
 

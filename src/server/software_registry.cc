@@ -350,10 +350,8 @@ Status SoftwareRegistry::AddRuns(const SoftwareId& id, std::int64_t count) {
   std::string id_hex = id.ToHex();
   auto existing = run_stats_->Get(Value::Str(id_hex));
   std::int64_t total = existing.ok() ? (*existing)[1].AsInt() : 0;
-  Status put = run_stats_->Upsert(
+  return run_stats_->Upsert(
       Row{Value::Str(id_hex), Value::Int(total + count)});
-  if (put.ok()) ++content_generation_;
-  return put;
 }
 
 std::int64_t SoftwareRegistry::RunCount(const SoftwareId& id) const {

@@ -104,9 +104,11 @@ class SoftwareRegistry {
 
   /// Monotonic counter bumped by every successful mutation that can change
   /// a QuerySoftware or QueryVendor answer (metadata, scores, priors,
-  /// behaviour reports, run counters). The snapshot read path compares it
+  /// behaviour reports, vendor scores). The snapshot read path compares it
   /// against the generation recorded at publication to decide whether the
-  /// published snapshot still reflects current content.
+  /// published snapshot still reflects current content. Run counters are
+  /// left out: a snapshot hit reads RunCount live, so a run report never
+  /// stales the published snapshot.
   std::uint64_t content_generation() const { return content_generation_; }
 
   /// Number of reports for one behaviour.

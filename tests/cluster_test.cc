@@ -22,6 +22,7 @@
 #include "net/network.h"
 #include "net/rpc.h"
 #include "obs/metrics.h"
+#include "proto/binary_codec.h"
 #include "proto/wire.h"
 #include "server/reputation_server.h"
 #include "sim/scenario.h"
@@ -1466,14 +1467,89 @@ TEST(ClusterCodec, BinaryClientAndXmlClientGetIdenticalAnswers) {
             static_cast<std::uint64_t>(kPrograms));
 }
 
+TEST(ClusterCodec, RouterForwardsBinaryAndRepliesInKind) {
+  Harness h(2);
+  RunScriptedWorkload(h);
+  std::string session = h.Onboard("hop-reader");
+
+  // A raw XML endpoint, so the test sees the exact frame the router sends
+  // back rather than what an RpcClient decodes from it.
+  std::vector<std::string> inbox;
+  ASSERT_TRUE(h.network()
+                  .Bind("xml-probe",
+                        [&inbox](const net::Message& message) {
+                          inbox.push_back(message.payload);
+                        })
+                  .ok());
+  for (int i = 0; i < kPrograms; ++i) {
+    const core::SoftwareMeta meta = ProgramMeta(i);
+    int owner = 0;
+    while (h.cluster()->ShardName(owner) !=
+           h.cluster()->ring().OwnerOf(meta.id)) {
+      ++owner;
+    }
+    std::vector<std::uint64_t> binary_before;
+    for (int s = 0; s < h.cluster()->num_shards(); ++s) {
+      binary_before.push_back(
+          h.cluster()->primary(s)->rpc_server()->binary_requests());
+    }
+
+    XmlNode request("request");
+    request.SetAttribute("id", std::to_string(i));
+    request.SetAttribute("method", "QuerySoftware");
+    request.AddTextChild("session", session);
+    request.AddTextChild("id", meta.id.ToHex());
+    inbox.clear();
+    h.network().Send("xml-probe", "server",
+                     proto::EncodeFrame(request, proto::WireCodec::kXml));
+    h.Pump([&inbox] { return !inbox.empty(); });
+    ASSERT_EQ(inbox.size(), 1u) << "program " << i;
+
+    // Upstream, every frame was binary: the QuerySoftware call reached the
+    // owning primary, and one QueryVendor scatter leg reached each primary.
+    for (int s = 0; s < h.cluster()->num_shards(); ++s) {
+      const std::uint64_t expected_frames = s == owner ? 2 : 1;
+      EXPECT_EQ(h.cluster()->primary(s)->rpc_server()->binary_requests() -
+                    binary_before[static_cast<std::size_t>(s)],
+                expected_frames)
+          << "program " << i << " shard " << s;
+    }
+
+    // Downstream, the XML client got XML back.
+    auto reply = proto::DecodeFrame(inbox.front());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->codec, proto::WireCodec::kXml);
+
+    // Oracle: the owning primary's own answer, in the envelope RpcServer
+    // gives a successful call, with its vendor slice replaced by the
+    // cluster-wide merge at the end (where the router appends it).
+    auto direct = h.cluster()->primary(owner)->QuerySoftware(session, meta.id);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    auto vendor = h.cluster()->MergedVendorScore(meta.company);
+    ASSERT_TRUE(vendor.ok()) << vendor.status().ToString();
+    XmlNode body = proto::SoftwareInfoToXml(*direct);
+    std::erase_if(body.children(), [](const XmlNode& child) {
+      return child.name() == "vendor";
+    });
+    XmlNode& merged = body.AddChild("vendor");
+    merged.SetAttribute("name", vendor->vendor);
+    merged.SetAttribute("score", StrFormat("%.6f", vendor->score));
+    merged.SetAttribute("count", std::to_string(vendor->software_count));
+    XmlNode oracle("response");
+    oracle.SetAttribute("id", "#");
+    oracle.SetAttribute("status", "ok");
+    for (const auto& [key, value] : body.attributes()) {
+      oracle.SetAttribute(key, value);
+    }
+    oracle.children() = std::move(body.children());
+    EXPECT_EQ(CanonicalResponse(reply->node), CanonicalResponse(oracle))
+        << "program " << i;
+  }
+}
+
 TEST(ClusterCodec, BatchedFrameThroughRouterCompletesEveryMember) {
   obs::MetricsRegistry metrics;
-  // upstream_binary also flips the router->shard hop to the compact codec,
-  // so this exercises batch unbundling and binary forwarding at once.
-  Harness h(2, /*gossip_period=*/0, &metrics,
-            [](ClusterConfig&, RouterConfig& rc) {
-              rc.upstream_binary = true;
-            });
+  Harness h(2, /*gossip_period=*/0, &metrics);
   RunScriptedWorkload(h);
   std::string session = h.Onboard("batch-reader");
 

@@ -239,7 +239,7 @@ TEST_P(XmlGarbageTest, MutatedValidDocumentsNeverCrashTheParser) {
           mutated.insert(pos, 1, '<');
           break;
       }
-      if (mutated.empty()) mutated = "<";
+      if (mutated.empty()) mutated.push_back('<');
     }
     auto parsed = xml::ParseXml(mutated);
     (void)parsed;

@@ -29,7 +29,10 @@ SoftwareMeta EdgeMeta(const std::string& tag, const std::string& company) {
 
 class ServerEdgeTest : public ::testing::Test {
  protected:
-  ServerEdgeTest() { Reset({}); }
+  ServerEdgeTest() {
+    ReputationServer::Config config;
+    Reset(config);
+  }
 
   void Reset(ReputationServer::Config config) {
     config.flood.registration_puzzle_bits = 0;

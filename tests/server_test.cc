@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -661,6 +662,50 @@ TEST_F(ServerTest, MutationForcesSlowPathUntilNextPublication) {
   server_->aggregation().RunOnce(2 * kDay);
   ASSERT_TRUE(server_->QuerySoftware(s1, meta.id).ok());
   EXPECT_EQ(server_->stats().snapshot_hits, 2u);
+}
+
+TEST_F(ServerTest, RunReportsKeepQueriesOnTheSnapshot) {
+  std::string s1 = MakeUser("abel");
+  std::string s2 = MakeUser("bria");
+  SoftwareMeta meta = TestMeta("snap5", "Initech");
+  ASSERT_TRUE(server_
+                  ->SubmitRating(s1, meta, 9, "solid", core::kNoBehaviors, 0)
+                  .ok());
+  ASSERT_TRUE(
+      server_->SubmitRating(s2, meta, 4, "nags", core::kNoBehaviors, 0).ok());
+  SoftwareId ghost = util::Sha1::Hash("run-only-app");
+  ASSERT_TRUE(server_->ReportExecutions(s1, ghost, 2).ok());
+  server_->aggregation().RunOnce(kDay);
+
+  // Twin server over the same database with the snapshot path disabled:
+  // the store walk is the oracle.
+  ReputationServer::Config locked_config = DefaultConfig();
+  locked_config.snapshot_reads = false;
+  ReputationServer locked(db_.get(), &loop_, locked_config);
+  auto locked_session = locked.Login("abel", "password", 0);
+  ASSERT_TRUE(locked_session.ok());
+
+  // A registered title, a digest known only by its runs at publication,
+  // and a digest whose first run comes after it.
+  SoftwareId fresh = util::Sha1::Hash("first-run-after-publish");
+  std::map<SoftwareId, std::int64_t> runs = {
+      {meta.id, 0}, {ghost, 2}, {fresh, 0}};
+  std::uint64_t hits = server_->stats().snapshot_hits;
+  for (std::int64_t count = 1; count <= 3; ++count) {
+    for (auto& [id, expected_runs] : runs) {
+      ASSERT_TRUE(server_->ReportExecutions(s2, id, count).ok());
+      expected_runs += count;
+      auto fast = server_->QuerySoftware(s1, id);
+      ASSERT_TRUE(fast.ok());
+      EXPECT_EQ(server_->stats().snapshot_hits, ++hits);
+      EXPECT_EQ(server_->stats().snapshot_misses, 0u);
+      EXPECT_EQ(fast->run_count, expected_runs);
+      auto slow = locked.QuerySoftware(*locked_session, id);
+      ASSERT_TRUE(slow.ok());
+      EXPECT_EQ(xml::WriteXml(proto::SoftwareInfoToXml(*fast)),
+                xml::WriteXml(proto::SoftwareInfoToXml(*slow)));
+    }
+  }
 }
 
 TEST_F(ServerTest, SnapshotReadsOffMeansNoSnapshotEverPublished) {

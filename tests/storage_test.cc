@@ -13,6 +13,7 @@
 #include "storage/value.h"
 #include "storage/wal.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace pisrep::storage {
 namespace {
@@ -230,7 +231,7 @@ TEST(TableTest, SwapRemoveKeepsIndexesConsistent) {
   Table table(UserSchema());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        table.Insert(UserRow(i, "n" + std::to_string(i), i, true)).ok());
+        table.Insert(UserRow(i, util::StrFormat("n%d", i), i, true)).ok());
   }
   // Delete from the middle repeatedly; every surviving row must stay
   // reachable via both indexes.
@@ -240,7 +241,8 @@ TEST(TableTest, SwapRemoveKeepsIndexesConsistent) {
   EXPECT_EQ(table.size(), 7u);
   for (int i : {1, 2, 4, 5, 6, 7, 8}) {
     ASSERT_TRUE(table.Get(Value::Int(i)).ok()) << i;
-    auto rows = table.FindByIndex("name", Value::Str("n" + std::to_string(i)));
+    auto rows =
+        table.FindByIndex("name", Value::Str(util::StrFormat("n%d", i)));
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows->size(), 1u) << i;
   }

@@ -448,7 +448,10 @@ TEST(AuditLogTest, CheckpointPinsTruncatedTail) {
 
 class TrustServerTest : public ::testing::Test {
  protected:
-  TrustServerTest() { Reset({}); }
+  TrustServerTest() {
+    server::ReputationServer::Config config;
+    Reset(config);
+  }
 
   void Reset(server::ReputationServer::Config config) {
     config.flood.registration_puzzle_bits = 0;

@@ -240,8 +240,8 @@ TEST_F(PortalTest, MetricsEndpointExposesInstrumentedFamilies) {
 }
 
 TEST_F(PortalTest, MetricsUnavailableWithoutRegistry) {
-  server::ReputationServer bare(db_.get(), &loop_,
-                                server::ReputationServer::Config{});
+  server::ReputationServer::Config config;
+  server::ReputationServer bare(db_.get(), &loop_, config);
   WebPortal portal(&bare);
   EXPECT_EQ(portal.Handle("/metrics").status().code(),
             util::StatusCode::kUnavailable);

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "util/random.h"
+#include "util/string_util.h"
 #include "xml/xml_node.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
@@ -145,7 +146,7 @@ XmlNode RandomTree(util::Rng& rng, int depth) {
   XmlNode node("n" + std::to_string(rng.NextBelow(1000)));
   int attrs = static_cast<int>(rng.NextBelow(3));
   for (int i = 0; i < attrs; ++i) {
-    node.SetAttribute("a" + std::to_string(i),
+    node.SetAttribute(util::StrFormat("a%d", i),
                       "v<\"&'" + rng.NextToken(5));
   }
   if (depth > 0 && rng.NextBool(0.7)) {
