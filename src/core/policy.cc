@@ -2,6 +2,20 @@
 
 namespace pisrep::core {
 
+namespace {
+
+/// True when `value` lies inside the window: each side optional, and
+/// exclusive when its strict flag is set.
+bool InWindow(double value, const std::optional<double>& min, bool min_strict,
+              const std::optional<double>& max, bool max_strict) {
+  if (min.has_value() && (min_strict ? value <= *min : value < *min)) {
+    return false;
+  }
+  return !max.has_value() || (max_strict ? value < *max : value <= *max);
+}
+
+}  // namespace
+
 const char* PolicyActionName(PolicyAction action) {
   switch (action) {
     case PolicyAction::kAllow:
@@ -29,20 +43,18 @@ bool PolicyRule::Matches(const PolicyInput& input) const {
   if (mismatch(require_expert_flag, input.expert_flagged)) return false;
 
   if (min_rating.has_value() || max_rating.has_value()) {
-    if (!input.rating.has_value()) return false;
-    if (min_rating.has_value() && *input.rating < *min_rating) return false;
-    if (max_rating.has_value() && *input.rating > *max_rating) return false;
+    if (!input.rating.has_value() ||
+        !InWindow(*input.rating, min_rating, min_rating_strict, max_rating,
+                  max_rating_strict)) {
+      return false;
+    }
   }
   if (input.vote_count < min_votes) return false;
 
   if (min_feed_rating.has_value() || max_feed_rating.has_value()) {
-    if (!input.feed_rating.has_value()) return false;
-    if (min_feed_rating.has_value() &&
-        *input.feed_rating < *min_feed_rating) {
-      return false;
-    }
-    if (max_feed_rating.has_value() &&
-        *input.feed_rating > *max_feed_rating) {
+    if (!input.feed_rating.has_value() ||
+        !InWindow(*input.feed_rating, min_feed_rating, min_feed_rating_strict,
+                  max_feed_rating, max_feed_rating_strict)) {
       return false;
     }
   }
@@ -113,6 +125,7 @@ Policy Policy::PaperDefault() {
   high_rating.name = "rating-above-7.5-no-ads";
   high_rating.action = PolicyAction::kAllow;
   high_rating.min_rating = 7.5;
+  high_rating.min_rating_strict = true;
   high_rating.min_votes = 3;
   high_rating.forbidden_behaviors =
       static_cast<BehaviorSet>(Behavior::kShowsAds) |
@@ -123,6 +136,7 @@ Policy Policy::PaperDefault() {
   low_rating.name = "rating-below-3";
   low_rating.action = PolicyAction::kDeny;
   low_rating.max_rating = 3.0;
+  low_rating.max_rating_strict = true;
   low_rating.min_votes = 3;
   extended.AddRule(std::move(low_rating));
 

@@ -57,16 +57,23 @@ struct PolicyRule {
   std::optional<bool> require_company_name;
   std::optional<bool> require_expert_flag;
 
-  /// Rating window [min_rating, max_rating]; either side optional. A rule
-  /// with a rating bound does not fire on unrated software.
+  /// Rating window [min_rating, max_rating]; either side optional, and
+  /// exclusive when its `_strict` flag is set (§4.2's "rating over 7.5"
+  /// does not admit 7.5). A rule with a rating bound does not fire on
+  /// unrated software.
   std::optional<double> min_rating;
   std::optional<double> max_rating;
+  bool min_rating_strict = false;
+  bool max_rating_strict = false;
   int min_votes = 0;
 
-  /// Feed-score window; a rule with a feed bound does not fire when the
-  /// subscribed feed has no entry for the software.
+  /// Feed-score window, bounded like the rating window; a rule with a
+  /// feed bound does not fire when the subscribed feed has no entry for
+  /// the software.
   std::optional<double> min_feed_rating;
   std::optional<double> max_feed_rating;
+  bool min_feed_rating_strict = false;
+  bool max_feed_rating_strict = false;
 
   /// The rule fires only when the input reports none of these behaviours.
   BehaviorSet forbidden_behaviors = kNoBehaviors;

@@ -189,22 +189,23 @@ std::vector<core::RatingRecord> VoteStore::VisibleComments(
   std::vector<core::RatingRecord> comments;
   if (limit == 0) return comments;
   // Rows handed out by the facade may be transient cold decodes, valid
-  // only inside the callback — so the filter pass copies just the two
-  // scalars the selection needs, never a Row pointer. Only the `limit`
-  // selected rows are re-fetched and materialized (comment strings
-  // copied) afterwards.
+  // only inside the callback — so the filter walk copies just the scalars
+  // the selection needs, never a Row pointer or a comment string.
   struct Candidate {
     std::int64_t submitted_at;
     core::UserId user;
+    int score;
   };
+  const Value key = Value::Str(software.ToHex());
   std::vector<Candidate> visible;
-  Status visited = ratings_->ForEachByIndex(
-      "software", Value::Str(software.ToHex()), [&](const Row& row) {
+  Status visited =
+      ratings_->ForEachByIndex("software", key, [&](const Row& row) {
         if (row[6].AsBool() && !row[4].AsStr().empty()) {
-          visible.push_back(Candidate{row[5].AsInt(), row[1].AsInt()});
+          visible.push_back(Candidate{row[5].AsInt(), row[1].AsInt(),
+                                      static_cast<int>(row[3].AsInt())});
         }
       });
-  if (!visited.ok()) return comments;
+  if (!visited.ok() || visible.empty()) return comments;
   auto newer = [](const Candidate& a, const Candidate& b) {
     return a.submitted_at > b.submitted_at;
   };
@@ -215,12 +216,31 @@ std::vector<core::RatingRecord> VoteStore::VisibleComments(
   } else {
     std::sort(visible.begin(), visible.end(), newer);
   }
-  comments.reserve(visible.size());
-  for (const Candidate& candidate : visible) {
-    auto row = ratings_->Get(Value::Str(VoteKey(candidate.user, software)));
-    PISREP_CHECK(row.ok()) << row.status().ToString();
-    comments.push_back(RatingFromRow(*row).record);
+  comments.resize(visible.size());
+  for (std::size_t i = 0; i < visible.size(); ++i) {
+    comments[i].user = visible[i].user;
+    comments[i].software = software;
+    comments[i].score = visible[i].score;
+    comments[i].submitted_at = visible[i].submitted_at;
   }
+  // A second walk of the same index entry copies only the selected
+  // comments. Each user has one vote per title, so the user identifies the
+  // row; rows older than the last selection are skipped before any compare.
+  const std::int64_t oldest = visible.back().submitted_at;
+  std::size_t missing = visible.size();
+  visited = ratings_->ForEachByIndex("software", key, [&](const Row& row) {
+    if (missing == 0 || row[5].AsInt() < oldest) return;
+    const core::UserId user = row[1].AsInt();
+    for (std::size_t i = 0; i < visible.size(); ++i) {
+      if (visible[i].user == user) {
+        comments[i].comment = row[4].AsStr();
+        --missing;
+        return;
+      }
+    }
+  });
+  PISREP_CHECK(visited.ok() && missing == 0)
+      << "selected comment vanished between walks: " << visited.ToString();
   return comments;
 }
 

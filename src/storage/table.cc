@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/logging.h"
@@ -7,8 +9,24 @@
 namespace pisrep::storage {
 
 namespace {
+
 using util::Result;
 using util::Status;
+
+/// Finds the position of `column` within an index declaration list.
+Result<std::size_t> IndexPosition(const TableSchema& schema,
+                                  const std::vector<std::size_t>& declared,
+                                  std::string_view column,
+                                  const char* index_kind) {
+  PISREP_ASSIGN_OR_RETURN(std::size_t col, schema.ColumnIndex(column));
+  for (std::size_t i = 0; i < declared.size(); ++i) {
+    if (declared[i] == col) return i;
+  }
+  return Status::FailedPrecondition(
+      "column " + std::string(column) + " has no " + index_kind +
+      " index in table " + schema.table_name());
+}
+
 }  // namespace
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
@@ -120,73 +138,45 @@ Status Table::DeleteImpl(const Value& key, bool log) {
   return Status::Ok();
 }
 
+Result<const std::vector<std::size_t>*> Table::IndexedSlots(
+    std::string_view column, const Value& value) const {
+  PISREP_ASSIGN_OR_RETURN(
+      std::size_t pos, IndexPosition(schema_, schema_.secondary_indexes(),
+                                     column, "secondary"));
+  static const std::vector<std::size_t> kNoSlots;
+  auto it = secondary_[pos].find(value);
+  return it == secondary_[pos].end() ? &kNoSlots : &it->second;
+}
+
 Result<std::vector<Row>> Table::FindByIndex(std::string_view column,
                                             const Value& value) const {
-  PISREP_ASSIGN_OR_RETURN(std::size_t col, schema_.ColumnIndex(column));
-  for (std::size_t i = 0; i < schema_.secondary_indexes().size(); ++i) {
-    if (schema_.secondary_indexes()[i] != col) continue;
-    std::vector<Row> out;
-    auto [begin, end] = secondary_[i].equal_range(value);
-    // Reserve up front: each Row is a vector of Values, so growth-driven
-    // reallocation used to re-copy every already-collected row.
-    out.reserve(static_cast<std::size_t>(std::distance(begin, end)));
-    for (auto it = begin; it != end; ++it) {
-      out.push_back(rows_[it->second]);
-    }
-    return out;
+  PISREP_ASSIGN_OR_RETURN(const std::vector<std::size_t>* slots,
+                          IndexedSlots(column, value));
+  std::vector<Row> out;
+  out.reserve(slots->size());
+  for (auto it = slots->rbegin(); it != slots->rend(); ++it) {
+    out.push_back(rows_[*it]);
   }
-  return Status::FailedPrecondition("column " + std::string(column) +
-                                    " has no secondary index in table " +
-                                    schema_.table_name());
+  return out;
 }
 
 Status Table::ForEachByIndex(
     std::string_view column, const Value& value,
     const std::function<void(const Row&)>& visit) const {
-  PISREP_ASSIGN_OR_RETURN(std::size_t col, schema_.ColumnIndex(column));
-  for (std::size_t i = 0; i < schema_.secondary_indexes().size(); ++i) {
-    if (schema_.secondary_indexes()[i] != col) continue;
-    auto [begin, end] = secondary_[i].equal_range(value);
-    for (auto it = begin; it != end; ++it) {
-      visit(rows_[it->second]);
-    }
-    return Status::Ok();
+  PISREP_ASSIGN_OR_RETURN(const std::vector<std::size_t>* slots,
+                          IndexedSlots(column, value));
+  for (auto it = slots->rbegin(); it != slots->rend(); ++it) {
+    visit(rows_[*it]);
   }
-  return Status::FailedPrecondition("column " + std::string(column) +
-                                    " has no secondary index in table " +
-                                    schema_.table_name());
+  return Status::Ok();
 }
 
 Result<std::size_t> Table::CountByIndex(std::string_view column,
                                         const Value& value) const {
-  PISREP_ASSIGN_OR_RETURN(std::size_t col, schema_.ColumnIndex(column));
-  for (std::size_t i = 0; i < schema_.secondary_indexes().size(); ++i) {
-    if (schema_.secondary_indexes()[i] != col) continue;
-    auto [begin, end] = secondary_[i].equal_range(value);
-    return static_cast<std::size_t>(std::distance(begin, end));
-  }
-  return Status::FailedPrecondition("column " + std::string(column) +
-                                    " has no secondary index in table " +
-                                    schema_.table_name());
+  PISREP_ASSIGN_OR_RETURN(const std::vector<std::size_t>* slots,
+                          IndexedSlots(column, value));
+  return slots->size();
 }
-
-namespace {
-
-/// Finds the position of `column` within an index declaration list.
-Result<std::size_t> IndexPosition(const TableSchema& schema,
-                                  const std::vector<std::size_t>& declared,
-                                  std::string_view column,
-                                  const char* index_kind) {
-  PISREP_ASSIGN_OR_RETURN(std::size_t col, schema.ColumnIndex(column));
-  for (std::size_t i = 0; i < declared.size(); ++i) {
-    if (declared[i] == col) return i;
-  }
-  return Status::FailedPrecondition(
-      "column " + std::string(column) + " has no " + index_kind +
-      " index in table " + schema.table_name());
-}
-
-}  // namespace
 
 Result<std::vector<Row>> Table::ScanRange(std::string_view column,
                                           const Value& min,
@@ -248,7 +238,7 @@ void Table::ClearUnlogged() {
 void Table::IndexRow(std::size_t slot) {
   for (std::size_t i = 0; i < schema_.secondary_indexes().size(); ++i) {
     std::size_t col = schema_.secondary_indexes()[i];
-    secondary_[i].emplace(rows_[slot][col], slot);
+    secondary_[i].try_emplace(rows_[slot][col]).first->second.push_back(slot);
   }
   for (std::size_t i = 0; i < schema_.ordered_indexes().size(); ++i) {
     std::size_t col = schema_.ordered_indexes()[i];
@@ -259,13 +249,16 @@ void Table::IndexRow(std::size_t slot) {
 void Table::UnindexRow(std::size_t slot) {
   for (std::size_t i = 0; i < schema_.secondary_indexes().size(); ++i) {
     std::size_t col = schema_.secondary_indexes()[i];
-    auto [begin, end] = secondary_[i].equal_range(rows_[slot][col]);
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == slot) {
-        secondary_[i].erase(it);
-        break;
-      }
-    }
+    auto group = secondary_[i].find(rows_[slot][col]);
+    if (group == secondary_[i].end()) continue;
+    // Erase in place so the rest keep their order. Search from the newest
+    // end: the row a swap-remove relocates (the last slot) usually sits
+    // there.
+    std::vector<std::size_t>& slots = group->second;
+    auto it = std::find(slots.rbegin(), slots.rend(), slot);
+    if (it == slots.rend()) continue;
+    slots.erase(std::next(it).base());
+    if (slots.empty()) secondary_[i].erase(group);
   }
   for (std::size_t i = 0; i < schema_.ordered_indexes().size(); ++i) {
     std::size_t col = schema_.ordered_indexes()[i];

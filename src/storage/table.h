@@ -68,15 +68,19 @@ class Table {
   /// Deletes by primary key; kNotFound when absent.
   util::Status Delete(const Value& key);
 
-  /// All rows whose indexed column equals `value`. The column must have a
-  /// declared secondary index.
+  /// All rows whose indexed column equals `value`, in ForEachByIndex
+  /// order. The column must have a declared secondary index.
   util::Result<std::vector<Row>> FindByIndex(std::string_view column,
                                              const Value& value) const;
 
-  /// Visits every row whose indexed column equals `value`, in index order,
-  /// without materializing (and copying into) a vector — the hot-path
-  /// sibling of FindByIndex. The rows passed to `visit` live inside the
-  /// table; references must not be retained past a mutation.
+  /// Visits every row whose indexed column equals `value` without
+  /// materializing (and copying into) a vector — the hot-path sibling of
+  /// FindByIndex. Order: newest-indexed first. A row is (re)indexed when
+  /// it is inserted, upserted, or relocated into a deleted row's slot;
+  /// a delete leaves the other rows' order alone. That order is the
+  /// aggregation's float summation order (DESIGN.md §9). The rows passed
+  /// to `visit` live inside the table; references must not be retained
+  /// past a mutation.
   util::Status ForEachByIndex(
       std::string_view column, const Value& value,
       const std::function<void(const Row&)>& visit) const;
@@ -122,13 +126,18 @@ class Table {
 
   void IndexRow(std::size_t slot);
   void UnindexRow(std::size_t slot);
+  /// The slot list of `value` in the secondary index on `column` (empty
+  /// when no row holds that value).
+  util::Result<const std::vector<std::size_t>*> IndexedSlots(
+      std::string_view column, const Value& value) const;
 
   TableSchema schema_;
   std::vector<Row> rows_;  ///< dense storage; slots swap-removed on delete
   std::unordered_map<Value, std::size_t, ValueHash> primary_;  ///< key→slot
   /// One map per declared secondary index, parallel to
-  /// schema_.secondary_indexes(): value → slots.
-  std::vector<std::unordered_multimap<Value, std::size_t, ValueHash>>
+  /// schema_.secondary_indexes(): value → its rows' slots, oldest-indexed
+  /// first (visits walk each list from the back).
+  std::vector<std::unordered_map<Value, std::vector<std::size_t>, ValueHash>>
       secondary_;
   /// One tree per declared ordered index, parallel to
   /// schema_.ordered_indexes(): value → slots, sorted.

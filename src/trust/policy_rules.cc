@@ -98,14 +98,15 @@ Status ApplyCondition(const std::vector<std::string>& words,
     }
     const std::string& op = words[i + 1];
     PISREP_ASSIGN_OR_RETURN(double bound, util::ParseDouble(words[i + 2]));
-    std::optional<double>* min =
-        head == "rating" ? &rule->min_rating : &rule->min_feed_rating;
-    std::optional<double>* max =
-        head == "rating" ? &rule->max_rating : &rule->max_feed_rating;
+    const bool feed = head == "feed-rating";
     if (op == ">" || op == ">=") {
-      *min = bound;
+      (feed ? rule->min_feed_rating : rule->min_rating) = bound;
+      (feed ? rule->min_feed_rating_strict : rule->min_rating_strict) =
+          op == ">";
     } else if (op == "<" || op == "<=") {
-      *max = bound;
+      (feed ? rule->max_feed_rating : rule->max_rating) = bound;
+      (feed ? rule->max_feed_rating_strict : rule->max_rating_strict) =
+          op == "<";
     } else {
       return ParseError(line_no, "unknown comparison: " + op);
     }

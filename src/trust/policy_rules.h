@@ -36,8 +36,9 @@ namespace pisrep::trust {
 ///   op        := ">" | ">=" | "<" | "<="
 ///   behaviors := "ads" | behavior token (core::BehaviorFromName)
 ///
-/// Rating bounds are inclusive windows (the engine's semantics), so
-/// `rating > 7.5` and `rating >= 7.5` both become min_rating = 7.5.
+/// `>` and `<` compile to strict bounds, `>=` and `<=` to inclusive ones:
+/// `rating > 7.5` does not admit a score of exactly 7.5 (§4.2 "over 7.5"),
+/// while `rating >= 7.5` does.
 /// "no ads" is sugar for shows_ads + popup_ads. The rule's name is its
 /// trimmed source line, which is what per-rule decision metrics report.
 util::Result<core::Policy> ParsePolicyRules(std::string_view text,

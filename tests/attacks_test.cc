@@ -21,7 +21,7 @@ core::SoftwareMeta AttackMeta() {
   meta.id = util::Sha1::Hash("attack-test-target");
   meta.file_name = "target.exe";
   meta.file_size = 100;
-  meta.company = "V";
+  meta.company = std::string(1, 'V');
   meta.version = "1.0";
   return meta;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/prompt_policy.h"
 #include "util/sha1.h"
 
@@ -41,6 +44,42 @@ TEST(PolicyRuleTest, RatingWindowRequiresARating) {
   rule.max_rating = 9.0;
   rated.rating = 9.5;
   EXPECT_FALSE(rule.Matches(rated));
+}
+
+TEST(PolicyRuleTest, StrictBoundsExcludeTheirEndpoint) {
+  PolicyRule above;
+  above.min_rating = 7.5;
+  PolicyInput input;
+  input.rating = 7.5;
+  EXPECT_TRUE(above.Matches(input));  // inclusive unless marked strict
+  above.min_rating_strict = true;
+  EXPECT_FALSE(above.Matches(input));
+  input.rating = 7.6;
+  EXPECT_TRUE(above.Matches(input));
+
+  PolicyRule below;
+  below.max_rating = 3.0;
+  below.max_rating_strict = true;
+  input.rating = 3.0;
+  EXPECT_FALSE(below.Matches(input));
+  input.rating = 2.9;
+  EXPECT_TRUE(below.Matches(input));
+  below.max_rating_strict = false;
+  input.rating = 3.0;
+  EXPECT_TRUE(below.Matches(input));
+
+  PolicyRule feed;
+  feed.min_feed_rating = 2.0;
+  feed.min_feed_rating_strict = true;
+  feed.max_feed_rating = 8.0;
+  feed.max_feed_rating_strict = true;
+  PolicyInput fed;
+  for (double score : {2.0, 8.0}) {
+    fed.feed_rating = score;
+    EXPECT_FALSE(feed.Matches(fed)) << score;
+  }
+  fed.feed_rating = 5.0;
+  EXPECT_TRUE(feed.Matches(fed));
 }
 
 TEST(PolicyRuleTest, MinVotes) {
@@ -159,6 +198,27 @@ TEST(PolicyTest, PaperDefaultRatingRule) {
   input.rating = 9.0;
   input.vote_count = 1;
   EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAsk);
+}
+
+TEST(PolicyTest, PaperDefaultBoundsAreStrict) {
+  // §4.2: "a rating over 7.5/10" — exactly 7.5 (say, votes of 7 and 8 with
+  // equal trust) is not over it, and exactly 3.0 is not below 3.
+  Policy policy = Policy::PaperDefault();
+  PolicyInput input;
+  input.vote_count = 5;
+  std::string fired;
+  input.rating = 7.5;
+  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kAsk);
+  EXPECT_EQ(fired, "<default>");
+  input.rating = std::nextafter(7.5, 10.0);
+  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kAllow);
+  EXPECT_EQ(fired, "rating-above-7.5-no-ads");
+  input.rating = 3.0;
+  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kAsk);
+  EXPECT_EQ(fired, "<default>");
+  input.rating = std::nextafter(3.0, 0.0);
+  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kDeny);
+  EXPECT_EQ(fired, "rating-below-3");
 }
 
 TEST(PolicyTest, PaperDefaultDeniesBadlyRatedAndBlockedVendors) {

@@ -6,9 +6,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "storage/database.h"
 #include "storage/table.h"
@@ -34,9 +37,45 @@ TableSchema ModelSchema() {
       .Build();
 }
 
-/// Reference model: a plain std::map mirroring the table's contents.
+/// Reference model: a plain std::map mirroring the table's contents, plus
+/// the secondary index's visit order. `slots` mirrors the table's dense
+/// row vector (swap-remove on delete); `groups` lists each group's keys
+/// newest-indexed first, which is the order index visits must follow.
 struct Model {
   std::map<std::int64_t, std::pair<std::string, std::int64_t>> rows;
+  std::vector<std::int64_t> slots;
+  std::map<std::int64_t, std::vector<std::int64_t>> groups;
+
+  void Unindex(std::int64_t key) {
+    std::vector<std::int64_t>& keys = groups[rows.at(key).second];
+    keys.erase(std::find(keys.begin(), keys.end(), key));
+  }
+  void IndexNewest(std::int64_t key) {
+    std::vector<std::int64_t>& keys = groups[rows.at(key).second];
+    keys.insert(keys.begin(), key);
+  }
+  void Put(std::int64_t key, std::string data, std::int64_t group) {
+    if (rows.contains(key)) {
+      Unindex(key);
+    } else {
+      slots.push_back(key);
+    }
+    rows[key] = {std::move(data), group};
+    IndexNewest(key);
+  }
+  void Erase(std::int64_t key) {
+    Unindex(key);
+    rows.erase(key);
+    auto slot = std::find(slots.begin(), slots.end(), key);
+    if (*slot != slots.back()) {
+      // The table relocates its last row into the vacated slot and
+      // re-indexes it as newest.
+      *slot = slots.back();
+      Unindex(*slot);
+      IndexNewest(*slot);
+    }
+    slots.pop_back();
+  }
 };
 
 /// Applies `ops` random operations to both the table and the model,
@@ -54,7 +93,7 @@ void RunModelCheck(std::uint64_t seed, int ops, Table& table, Model& model) {
         auto status = table.Insert(
             Row{Value::Int(key), Value::Str(data), Value::Int(group)});
         EXPECT_EQ(status.ok(), !existed) << "insert key " << key;
-        if (!existed) model.rows[key] = {data, group};
+        if (!existed) model.Put(key, data, group);
         break;
       }
       case 1: {  // upsert
@@ -62,14 +101,14 @@ void RunModelCheck(std::uint64_t seed, int ops, Table& table, Model& model) {
                         .Upsert(Row{Value::Int(key), Value::Str(data),
                                     Value::Int(group)})
                         .ok());
-        model.rows[key] = {data, group};
+        model.Put(key, data, group);
         break;
       }
       case 2: {  // delete
         bool existed = model.rows.contains(key);
         auto status = table.Delete(Value::Int(key));
         EXPECT_EQ(status.ok(), existed) << "delete key " << key;
-        model.rows.erase(key);
+        if (existed) model.Erase(key);
         break;
       }
       case 3: {  // point read
@@ -92,15 +131,27 @@ void RunModelCheck(std::uint64_t seed, int ops, Table& table, Model& model) {
     ASSERT_TRUE(row.ok()) << key;
     EXPECT_EQ((*row)[1].AsStr(), value.first);
   }
-  // Secondary index agreement per group.
+  // Secondary index agreement per group, in visit order: newest-indexed
+  // first. That order is the aggregation's float summation order, so it
+  // is part of the index's contract, not an accident of its layout.
   for (std::int64_t group = 0; group <= 5; ++group) {
-    std::size_t expected = 0;
-    for (const auto& [key, value] : model.rows) {
-      if (value.second == group) ++expected;
-    }
+    const std::vector<std::int64_t>& expected = model.groups[group];
+    std::vector<std::int64_t> visited;
+    ASSERT_TRUE(table
+                    .ForEachByIndex("group_id", Value::Int(group),
+                                    [&](const Row& row) {
+                                      visited.push_back(row[0].AsInt());
+                                    })
+                    .ok());
+    EXPECT_EQ(visited, expected) << "group " << group;
     auto rows = table.FindByIndex("group_id", Value::Int(group));
     ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(rows->size(), expected) << "group " << group;
+    std::vector<std::int64_t> found;
+    for (const Row& row : *rows) found.push_back(row[0].AsInt());
+    EXPECT_EQ(found, expected) << "group " << group;
+    auto count = table.CountByIndex("group_id", Value::Int(group));
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, expected.size()) << "group " << group;
   }
 }
 

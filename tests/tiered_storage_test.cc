@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "net/event_loop.h"
 #include "obs/metrics.h"
 #include "server/reputation_server.h"
+#include "server/vote_store.h"
 #include "storage/codec.h"
 #include "storage/cold_store.h"
 #include "storage/database.h"
@@ -757,6 +759,156 @@ TEST(TieredDatabaseTest, ReplicatedFramesApplyToTieredTablesCold) {
   std::remove(primary.cold_path.c_str());
   std::remove(backup.wal_path.c_str());
   std::remove(backup.cold_path.c_str());
+}
+
+// --- VoteStore reads on both tiers -------------------------------------------
+
+std::string RenderComment(const core::RatingRecord& record) {
+  return std::to_string(record.user) + "|" + std::to_string(record.score) +
+         "|" + record.comment + "|" + std::to_string(record.submitted_at) +
+         "|" + record.software.ToHex();
+}
+
+/// Records sorted newest first, ties by user: the order-free form of a
+/// VisibleComments answer.
+std::vector<std::string> CanonicalComments(
+    std::vector<core::RatingRecord> records) {
+  std::sort(records.begin(), records.end(),
+            [](const core::RatingRecord& a, const core::RatingRecord& b) {
+              return a.submitted_at != b.submitted_at
+                         ? a.submitted_at > b.submitted_at
+                         : a.user < b.user;
+            });
+  std::vector<std::string> out;
+  for (const core::RatingRecord& record : records) {
+    out.push_back(RenderComment(record));
+  }
+  return out;
+}
+
+// The same seeded votes through a VoteStore on an in-memory database and
+// one on a tiered database whose ratings are nearly all cold: every
+// VisibleComments answer is the newest `limit` approved, non-empty
+// comments, each equal to its user's stored vote, on both tiers.
+TEST(TieredVoteStoreTest, VisibleCommentsAgreeAcrossTiers) {
+  TieredFixture fx = OpenTiered("comments", {{"ratings", SmallCapacity(8)}});
+  auto plain_db = Database::Open("");
+  ASSERT_TRUE(plain_db.ok());
+  server::VoteStore plain(plain_db->get());
+  server::VoteStore tiered(fx.db.get());
+  TieredTable* ratings = fx.db->GetTiered("ratings").value();
+  ASSERT_TRUE(ratings->tiered());
+
+  std::vector<core::SoftwareId> titles;
+  for (int t = 0; t < 4; ++t) {
+    titles.push_back(util::Sha1::Hash("comment-title-" + std::to_string(t)));
+  }
+  struct Vote {
+    core::RatingRecord record;
+    bool approved = true;
+  };
+  std::map<std::pair<core::UserId, std::string>, Vote> ledger;
+
+  util::Rng rng(20261017);
+  for (core::UserId user = 1; user <= 80; ++user) {
+    for (const core::SoftwareId& title : titles) {
+      if (rng.NextBelow(4) == 0) continue;
+      core::RatingRecord record;
+      record.user = user;
+      record.software = title;
+      record.score = static_cast<int>(rng.NextInt(1, 10));
+      // Eight distinct timestamps per title: most votes share theirs.
+      record.submitted_at = rng.NextInt(0, 7) * util::kHour;
+      if (rng.NextBelow(5) != 0) record.comment = "c-" + rng.NextToken(6);
+      bool approved = rng.NextBelow(6) != 0;
+      ASSERT_TRUE(plain.SubmitRating(record, approved).ok());
+      ASSERT_TRUE(tiered.SubmitRating(record, approved).ok());
+      ledger[{user, title.ToHex()}] = Vote{record, approved};
+    }
+    if (user % 16 == 0) {
+      ASSERT_TRUE(fx.db->TierTick(user).ok());
+    }
+  }
+  // Moderation flips rewrite rows, which moves them in both indexes.
+  for (auto& [key, vote] : ledger) {
+    if (rng.NextBelow(8) != 0) continue;
+    vote.approved = !vote.approved;
+    const core::RatingRecord& record = vote.record;
+    ASSERT_TRUE(
+        plain.SetApproved(record.user, record.software, vote.approved).ok());
+    ASSERT_TRUE(
+        tiered.SetApproved(record.user, record.software, vote.approved).ok());
+  }
+  ratings->DemoteAll();
+  ASSERT_LT(ratings->HotRows() * 10, ratings->size());
+
+  for (const core::SoftwareId& title : titles) {
+    std::vector<const Vote*> visible;
+    for (const auto& [key, vote] : ledger) {
+      if (key.second == title.ToHex() && vote.approved &&
+          !vote.record.comment.empty()) {
+        visible.push_back(&vote);
+      }
+    }
+    ASSERT_GT(visible.size(), 11u);
+    for (std::size_t limit : {std::size_t{1}, std::size_t{3}, std::size_t{10},
+                              visible.size() + 1}) {
+      SCOPED_TRACE("title " + title.ToHex() + " limit " +
+                   std::to_string(limit));
+      std::vector<core::RatingRecord> memory =
+          plain.VisibleComments(title, limit);
+      std::vector<core::RatingRecord> cold =
+          tiered.VisibleComments(title, limit);
+      const std::size_t expected_count = std::min(limit, visible.size());
+      ASSERT_EQ(memory.size(), expected_count);
+      ASSERT_EQ(cold.size(), expected_count);
+
+      for (const auto* answer : {&memory, &cold}) {
+        std::set<core::UserId> returned;
+        for (std::size_t i = 0; i < answer->size(); ++i) {
+          const core::RatingRecord& got = (*answer)[i];
+          auto it = ledger.find({got.user, title.ToHex()});
+          ASSERT_NE(it, ledger.end());
+          EXPECT_TRUE(it->second.approved);
+          EXPECT_EQ(RenderComment(got), RenderComment(it->second.record));
+          if (i > 0) {
+            EXPECT_LE(got.submitted_at, (*answer)[i - 1].submitted_at);
+          }
+          returned.insert(got.user);
+        }
+        const util::TimePoint last = answer->back().submitted_at;
+        for (const Vote* vote : visible) {
+          if (!returned.contains(vote->record.user)) {
+            EXPECT_LE(vote->record.submitted_at, last)
+                << "omitted a newer comment by user " << vote->record.user;
+          }
+        }
+      }
+
+      // The in-memory index visits newest-indexed first, the cold index in
+      // append order, so comments sharing a submitted_at come back in
+      // opposite orders, and a limit that cuts through such a run may keep
+      // different members of it. Apart from that cut run, both tiers return
+      // the same records.
+      const util::TimePoint last = memory.back().submitted_at;
+      auto at_last = [&](const core::RatingRecord& record) {
+        return record.submitted_at == last;
+      };
+      const bool cut =
+          std::count_if(memory.begin(), memory.end(), at_last) <
+          std::count_if(visible.begin(), visible.end(), [&](const Vote* v) {
+            return at_last(v->record);
+          });
+      auto outside_cut = [&](std::vector<core::RatingRecord> records) {
+        if (cut) std::erase_if(records, at_last);
+        return CanonicalComments(std::move(records));
+      };
+      EXPECT_EQ(outside_cut(memory), outside_cut(cold));
+      EXPECT_EQ(cold.back().submitted_at, last);
+    }
+  }
+  std::remove(fx.wal_path.c_str());
+  std::remove(fx.cold_path.c_str());
 }
 
 // --- Server integration: metrics export and snapshot pinning -----------------

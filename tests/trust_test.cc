@@ -172,7 +172,7 @@ std::vector<PolicyInput> InputGrid() {
     for (bool blacklisted : {false, true}) {
       for (bool trusted_sig : {false, true}) {
         for (bool vendor_blocked : {false, true}) {
-          for (double rating : {-1.0, 2.0, 5.0, 9.0}) {
+          for (double rating : {-1.0, 2.0, 3.0, 5.0, 7.5, 9.0}) {
             for (int votes : {1, 5}) {
               for (bool ads : {false, true}) {
                 PolicyInput input;
@@ -263,6 +263,37 @@ TEST(PolicyRulesTest, GrammarCoversFlagsComparisonsAndBehaviors) {
   PolicyInput nothing;
   EXPECT_EQ(policy->Evaluate(nothing, &fired), PolicyAction::kDeny);
   EXPECT_EQ(fired, "<default>");
+}
+
+TEST(PolicyRulesTest, ComparisonStrictnessFollowsTheOperator) {
+  auto policy = ParsePolicyRules(
+      "allow if rating > 7.5\n"
+      "allow if rating >= 7\n"
+      "deny if rating < 3\n"
+      "deny if rating <= 3\n"
+      "deny if feed-rating < 2\n"
+      "allow if feed-rating >= 9\n"
+      "default ask\n",
+      "bounds");
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  auto fired_on = [&](std::optional<double> rating,
+                      std::optional<double> feed_rating) {
+    PolicyInput input;
+    input.rating = rating;
+    input.feed_rating = feed_rating;
+    std::string fired;
+    policy->Evaluate(input, &fired);
+    return fired;
+  };
+  // `>` and `<` exclude their bound; `>=` and `<=` admit it.
+  EXPECT_EQ(fired_on(7.5, std::nullopt), "allow if rating >= 7");
+  EXPECT_EQ(fired_on(7.6, std::nullopt), "allow if rating > 7.5");
+  EXPECT_EQ(fired_on(7.0, std::nullopt), "allow if rating >= 7");
+  EXPECT_EQ(fired_on(3.0, std::nullopt), "deny if rating <= 3");
+  EXPECT_EQ(fired_on(2.9, std::nullopt), "deny if rating < 3");
+  EXPECT_EQ(fired_on(std::nullopt, 2.0), "<default>");
+  EXPECT_EQ(fired_on(std::nullopt, 1.9), "deny if feed-rating < 2");
+  EXPECT_EQ(fired_on(std::nullopt, 9.0), "allow if feed-rating >= 9");
 }
 
 TEST(PolicyRulesTest, ParserRejectsMalformedRules) {
