@@ -79,15 +79,6 @@ std::string FormatRangeDigests(
   return out;
 }
 
-std::string ScoreFingerprint(storage::Database* db,
-                             const std::string& id_hex) {
-  auto table = db->GetTiered("software_scores");
-  if (!table.ok()) return "absent";
-  auto row = (*table)->Get(storage::Value::Str(id_hex));
-  if (!row.ok()) return "absent";
-  return RowString("software_scores", *row);
-}
-
 AntiEntropyAgent::AntiEntropyAgent(net::SimNetwork* network,
                                    net::EventLoop* loop, std::string shard,
                                    storage::Database* db,

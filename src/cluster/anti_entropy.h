@@ -40,12 +40,6 @@ std::array<std::uint64_t, kDigestBuckets> RangeDigestsOf(
 std::string FormatRangeDigests(
     const std::array<std::uint64_t, kDigestBuckets>& digests);
 
-/// Exact type-tagged rendering of one software's `software_scores` row
-/// ("absent" when missing) — what the router's read-repair path compares
-/// between primary and replicas.
-std::string ScoreFingerprint(storage::Database* db,
-                             const std::string& id_hex);
-
 /// The primary's periodic anti-entropy sweep: for every replica channel
 /// that believes itself caught up, fetch its range digests and compare
 /// against the primary's own. A mismatch at equal WAL positions means

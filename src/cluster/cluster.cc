@@ -147,34 +147,6 @@ void ShardNode::InstallClusterMethods() {
         return result;
       });
 
-  // Read-repair plane: the router probes the primary's exact stored score
-  // row and asks it to resync a replica caught serving a diverged copy.
-  rpc->RegisterMethod(
-      std::string(kScoreFingerprintMethod),
-      [this](const XmlNode& request) -> Result<XmlNode> {
-        XmlNode result("result");
-        result.SetAttribute(
-            "fp", ScoreFingerprint(db_.get(),
-                                   request.ChildText("id").value_or("")));
-        result.SetAttribute(
-            "head",
-            std::to_string(shipper_ != nullptr ? shipper_->head_seq() : 0));
-        return result;
-      });
-  rpc->RegisterMethod(
-      std::string(kRepairReplicaMethod),
-      [this](const XmlNode& request) -> Result<XmlNode> {
-        if (shipper_ == nullptr) {
-          return Status::FailedPrecondition("shard has no replication plane");
-        }
-        auto k = request.ChildInt("replica");
-        if (!k.ok() || *k < 1 || *k > shipper_->replica_count()) {
-          return Status::InvalidArgument("bad replica ordinal");
-        }
-        shipper_->ForceResync(static_cast<int>(*k) - 1);
-        return XmlNode("result");
-      });
-
   // Ownership guard: wrap every digest-routed method so a request that
   // lands on the wrong shard (stale router ring, client pointed directly
   // at a shard) is answered with an ownership-moved redirect instead of
@@ -213,11 +185,8 @@ void ShardNode::InstallResponseGate() {
       [shipper](const std::string& method, std::function<void()> send) {
         // The control plane must answer even when writes are blocked on a
         // quorum: a gated ping or gossip exchange would turn replication
-        // trouble into a spurious failover of a healthy primary, and a
-        // gated repair order could never heal the replica it waits on.
-        if (method == kPingMethod || method == kGossipMethod ||
-            method == kScoreFingerprintMethod ||
-            method == kRepairReplicaMethod) {
+        // trouble into a spurious failover of a healthy primary.
+        if (method == kPingMethod || method == kGossipMethod) {
           send();
           return;
         }

@@ -143,8 +143,8 @@ class ShardNode {
 
  private:
   util::Status StartPrimary();
-  /// Registers ClusterPing, ClusterApplyRemark, the read-repair endpoints
-  /// and wraps every digest-routed method in the ownership guard.
+  /// Registers ClusterPing and ClusterApplyRemark and wraps every
+  /// digest-routed method in the ownership guard.
   void InstallClusterMethods();
   void InstallResponseGate();
 

@@ -121,19 +121,6 @@ Status ReplicaNode::Start() {
         }
         return result;
       });
-  // Read repair: the exact stored bytes of one software's score row.
-  rpc_->RegisterMethod(
-      std::string(kReplicaScoreMethod),
-      [this](const XmlNode& request) -> Result<XmlNode> {
-        if (db_ == nullptr) return Status::FailedPrecondition("detached");
-        XmlNode result("result");
-        result.SetAttribute("applied", std::to_string(applied_seq_));
-        result.SetAttribute("stale", stale_ ? "1" : "0");
-        result.SetAttribute(
-            "fp", ScoreFingerprint(db_.get(),
-                                   request.ChildText("id").value_or("")));
-        return result;
-      });
   return rpc_->Start();
 }
 

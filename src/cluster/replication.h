@@ -17,20 +17,14 @@
 
 namespace pisrep::cluster {
 
-// Replication-plane RPC method names (registered on ReplicaNodes, except
-// the last two which live on the primary and are called by the Router's
-// read-repair path).
+// Replication-plane RPC method names (registered on ReplicaNodes).
 inline constexpr std::string_view kReplicateMethod = "ShardReplicate";
 inline constexpr std::string_view kReplicaStatusMethod = "ShardReplicaStatus";
 inline constexpr std::string_view kReplicaDigestMethod = "ShardReplicaDigest";
-inline constexpr std::string_view kReplicaScoreMethod = "ShardReplicaScore";
-inline constexpr std::string_view kScoreFingerprintMethod =
-    "ShardScoreFingerprint";
-inline constexpr std::string_view kRepairReplicaMethod = "ShardRepairReplica";
 
 /// Network address of replica k (1-based, k < replication_factor) of shard
 /// `shard`. Replica addresses are a pure function of the shard name, so
-/// the router's read fan-out and the shipper agree without coordination.
+/// the replica nodes and the shipper agree without coordination.
 std::string ReplicaAddress(const std::string& shard, int k);
 
 /// Tuning for one shard's primary→replicas replication fan-out.
@@ -160,8 +154,8 @@ class ReplicaNode {
 /// every replica over an independent per-replica channel with its own
 /// acked sequence number, gates client responses on a configurable write
 /// quorum (W of R), and re-seeds any channel that fell behind the bounded
-/// log — or was force-resynced by anti-entropy / read repair — with an
-/// out-of-band full snapshot.
+/// log — or was force-resynced by anti-entropy — with an out-of-band
+/// full snapshot.
 class ReplicationShipper {
  public:
   /// `primary_db` must outlive the shipper; the shipper owns the database's
@@ -209,8 +203,8 @@ class ReplicationShipper {
   /// snapshot is pending) — the precondition for digest comparison.
   bool channel_caught_up(int k) const;
 
-  /// Schedules a full snapshot re-seed of channel k (anti-entropy and
-  /// read-repair call this on detected divergence). No-op on a fenced
+  /// Schedules a full snapshot re-seed of channel k (anti-entropy calls
+  /// this on detected divergence). No-op on a fenced
   /// channel: a replica with a diverged audit chain is evidence, not a
   /// sync bug, and must never be quietly repaired back into the quorum.
   void ForceResync(int k);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "cluster/replication.h"
 #include "proto/wire.h"
 #include "util/hex.h"
 #include "util/logging.h"
@@ -22,12 +21,6 @@ constexpr std::string_view kApplyRemarkMethod = "ClusterApplyRemark";
 bool IsTransportError(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||
          status.code() == StatusCode::kDataLoss;
-}
-
-std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
-  auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
-  if (!parsed.ok() || *parsed < 0) return 0;
-  return static_cast<std::uint64_t>(*parsed);
 }
 
 }  // namespace
@@ -93,15 +86,11 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
         metrics_->GetCounter("pisrep_cluster_router_ownership_moved_total");
     effect_failures_metric_ =
         metrics_->GetCounter("pisrep_cluster_router_effect_failures_total");
-    read_repairs_metric_ =
-        metrics_->GetCounter("pisrep_cluster_read_repairs_total");
-    // Same counter names as RpcServer's codec/batch metrics: the router is
-    // the cluster's hand-rolled front door, and dashboards should see one
+    // Same counter name as RpcServer's codec metric: the router is the
+    // cluster's hand-rolled front door, and dashboards should see one
     // series per deployment regardless of which binary answered.
     binary_requests_metric_ =
         metrics_->GetCounter("pisrep_proto_binary_requests_total");
-    batched_requests_metric_ =
-        metrics_->GetCounter("pisrep_rpc_batched_requests_total");
     vendor_index_hits_metric_ =
         metrics_->GetCounter("pisrep_cluster_vendor_index_hits_total");
     scatter_ms_ = metrics_->GetHistogram(
@@ -140,7 +129,8 @@ obs::Counter* Router::ShardRequestCounter(const std::string& shard) {
 
 void Router::HandleMessage(const net::Message& message) {
   auto decoded = proto::DecodeFrame(message.payload);
-  if (!decoded.ok()) return;
+  // Like RpcServer, the router answers only a frame that is one <request>.
+  if (!decoded.ok() || decoded->node.name() != "request") return;
   // Reply-in-kind: remember the codec this client last spoke so every
   // response (including ones produced much later by an async upstream
   // callback) goes back the way the request came.
@@ -149,26 +139,7 @@ void Router::HandleMessage(const net::Message& message) {
       binary_requests_metric_ != nullptr) {
     binary_requests_metric_->Increment();
   }
-  const XmlNode& node = decoded->node;
-  if (node.name() == "batch") {
-    // Unbundle: each member routes independently (they usually land on
-    // different shards) and is answered with its own response frame — the
-    // RpcClient matches responses by id, so per-member replies complete a
-    // batched call just as well as one batch frame, without the router
-    // holding the fastest shard's answer hostage to the slowest.
-    for (const XmlNode& child : node.children()) {
-      if (child.name() != "request") continue;
-      if (batched_requests_metric_) batched_requests_metric_->Increment();
-      DispatchRequest(message, child);
-    }
-    return;
-  }
-  if (node.name() != "request") return;
-  DispatchRequest(message, node);
-}
-
-void Router::DispatchRequest(const net::Message& message,
-                             const XmlNode& request) {
+  const XmlNode& request = decoded->node;
   std::string id = request.AttributeOr("id", "");
   std::string method = request.AttributeOr("method", "");
   ++requests_;
@@ -284,10 +255,6 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
           }
         }
         if (result.ok() && method == "QuerySoftware") {
-          // Read repair rides on real read traffic: compare the replicas'
-          // stored copy of this score row against the primary's, in the
-          // background — the client's response is never delayed.
-          StartReadRepair(shard, request.ChildText("id").value_or(""));
           // The owning shard reports the vendor score over its own slice
           // of the vendor's software; rewrite it with the cluster-wide
           // merge so a clustered answer matches a single server's.
@@ -657,91 +624,6 @@ void Router::ScheduleVendorIndexRefresh() {
                          if (alive.expired()) return;
                          ScheduleVendorIndexRefresh();
                        });
-}
-
-// ---------------------------------------------------------------------------
-// Read-repair plane
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Accumulator shared by one read-repair probe's legs.
-struct ReadProbe {
-  int pending = 0;
-  bool primary_ok = false;
-  std::string primary_fp;
-  std::uint64_t primary_head = 0;
-  struct ReplicaLeg {
-    bool ok = false;
-    bool stale = false;
-    std::uint64_t applied = 0;
-    std::string fp;
-  };
-  std::vector<ReplicaLeg> replicas;
-};
-}  // namespace
-
-void Router::StartReadRepair(const std::string& shard,
-                             const std::string& id_hex) {
-  if (config_.read_fanout <= 0 || id_hex.empty()) return;
-  auto probe = std::make_shared<ReadProbe>();
-  probe->replicas.resize(static_cast<std::size_t>(config_.read_fanout));
-  probe->pending = 1 + config_.read_fanout;
-  auto finish = [this, shard, probe] {
-    if (--probe->pending > 0) return;
-    if (!probe->primary_ok) return;
-    for (std::size_t k = 0; k < probe->replicas.size(); ++k) {
-      const ReadProbe::ReplicaLeg& leg = probe->replicas[k];
-      // Divergence means: the replica claims the exact same WAL position
-      // as the primary yet stores different bytes. A merely *lagging*
-      // replica is not divergent — shipping is already on it.
-      if (!leg.ok || leg.stale || leg.applied != probe->primary_head ||
-          leg.fp == probe->primary_fp) {
-        continue;
-      }
-      ++read_repairs_;
-      if (read_repairs_metric_) read_repairs_metric_->Increment();
-      PISREP_LOG(kWarning) << "router: read repair — replica " << (k + 1)
-                           << " of " << shard
-                           << " diverges from its primary; ordering resync";
-      XmlNode repair("r");
-      repair.AddIntChild("replica", static_cast<std::int64_t>(k + 1));
-      rpc_.CallTo(shard, kRepairReplicaMethod, std::move(repair),
-                  [](Result<XmlNode>) {}, config_.call_timeout);
-    }
-  };
-  XmlNode params("r");
-  params.AddTextChild("id", id_hex);
-  rpc_.CallTo(
-      shard, kScoreFingerprintMethod, params,
-      [probe, finish, alive = std::weak_ptr<int>(alive_)](
-          Result<XmlNode> result) {
-        if (alive.expired()) return;
-        if (result.ok()) {
-          probe->primary_ok = true;
-          probe->primary_fp = result->AttributeOr("fp", "");
-          probe->primary_head = AttrU64(*result, "head");
-        }
-        finish();
-      },
-      config_.call_timeout);
-  for (int k = 1; k <= config_.read_fanout; ++k) {
-    rpc_.CallTo(
-        ReplicaAddress(shard, k), kReplicaScoreMethod, params,
-        [probe, finish, k, alive = std::weak_ptr<int>(alive_)](
-            Result<XmlNode> result) {
-          if (alive.expired()) return;
-          ReadProbe::ReplicaLeg& leg =
-              probe->replicas[static_cast<std::size_t>(k - 1)];
-          if (result.ok()) {
-            leg.ok = true;
-            leg.stale = result->AttributeOr("stale", "0") == "1";
-            leg.applied = AttrU64(*result, "applied");
-            leg.fp = result->AttributeOr("fp", "");
-          }
-          finish();
-        },
-        config_.call_timeout);
-  }
 }
 
 }  // namespace pisrep::cluster

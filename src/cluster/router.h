@@ -51,12 +51,6 @@ struct RouterConfig {
   int max_redirects = 3;
   /// Seed for the router's puzzle-nonce stream.
   std::uint64_t nonce_seed = 0x9047e5;
-  /// Read repair: after a successful QuerySoftware, probe this many of the
-  /// owning shard's replicas (ordinals 1..read_fanout) and compare their
-  /// stored score row against the primary's; a replica that is at the same
-  /// WAL position yet answers differently is forced into snapshot resync.
-  /// The client's response is never delayed. 0 disables.
-  int read_fanout = 0;
   /// Period of the vendor-index refresh. 0 keeps the historical per-query
   /// QueryVendor scatter for QuerySoftware vendor-score rewrites; > 0
   /// pulls each shard's snapshot-published vendor aggregates
@@ -122,8 +116,6 @@ class Router {
 
   std::uint64_t requests() const { return requests_; }
   std::uint64_t redirects_followed() const { return redirects_followed_; }
-  /// Replicas detected serving a diverged score row and sent to resync.
-  std::uint64_t read_repairs() const { return read_repairs_; }
   /// Vendor rewrites answered from the merged index (no scatter) vs.
   /// rewrites that fell back to the per-query scatter.
   std::uint64_t vendor_index_hits() const { return vendor_index_hits_; }
@@ -174,10 +166,6 @@ class Router {
   };
 
   void HandleMessage(const net::Message& message);
-  /// Routes one client-visible request (an unbatched frame, or one member
-  /// of a batch frame).
-  void DispatchRequest(const net::Message& message,
-                       const xml::XmlNode& request);
   void Reply(const std::string& client, const std::string& id,
              util::Result<xml::XmlNode> result);
   void ReplyError(const std::string& client, const std::string& id,
@@ -207,10 +195,6 @@ class Router {
   void MergeVendor(const std::string& session, const std::string& vendor,
                    std::function<void(util::Result<xml::XmlNode>)> done);
 
-  /// Read-repair plane: fire-and-forget comparison of the owning shard's
-  /// replicas against its primary for one software's score row.
-  void StartReadRepair(const std::string& shard, const std::string& id_hex);
-
   /// Vendor-index plane: one refresh round (scatter QueryVendorIndex to
   /// all shards; publish the merged index only if every leg answered).
   void RefreshVendorIndex();
@@ -232,7 +216,6 @@ class Router {
 
   std::uint64_t requests_ = 0;
   std::uint64_t redirects_followed_ = 0;
-  std::uint64_t read_repairs_ = 0;
   std::uint64_t vendor_index_hits_ = 0;
   std::uint64_t vendor_index_misses_ = 0;
   std::uint64_t vendor_index_refreshes_ = 0;
@@ -249,9 +232,7 @@ class Router {
   obs::Counter* broadcast_ops_metric_ = nullptr;
   obs::Counter* ownership_moved_metric_ = nullptr;
   obs::Counter* effect_failures_metric_ = nullptr;
-  obs::Counter* read_repairs_metric_ = nullptr;
   obs::Counter* binary_requests_metric_ = nullptr;
-  obs::Counter* batched_requests_metric_ = nullptr;
   obs::Counter* vendor_index_hits_metric_ = nullptr;
   obs::Histogram* scatter_ms_ = nullptr;
 };

@@ -56,7 +56,6 @@ void RpcServer::AttachObservability(obs::MetricsRegistry* metrics,
   error_counters_.clear();
   handle_micros_ = nullptr;
   binary_requests_metric_ = nullptr;
-  batched_requests_metric_ = nullptr;
   if (metrics_ != nullptr) {
     // Wall-clock-valued (instrumentation only, never steers sim logic):
     // handler durations are real compute time, not sim time — sim time
@@ -66,8 +65,6 @@ void RpcServer::AttachObservability(obs::MetricsRegistry* metrics,
         {10.0, 100.0, 1000.0, 10000.0, 100000.0});
     binary_requests_metric_ =
         metrics_->GetCounter("pisrep_proto_binary_requests_total");
-    batched_requests_metric_ =
-        metrics_->GetCounter("pisrep_rpc_batched_requests_total");
   }
 }
 
@@ -96,9 +93,9 @@ obs::Counter* RpcServer::ErrorCounter(const std::string& code) {
 
 void RpcServer::HandleMessage(const Message& message) {
   auto decoded = proto::DecodeFrame(message.payload);
-  if (!decoded.ok() || (decoded->node.name() != "request" &&
-                        decoded->node.name() != "batch")) {
-    // Malformed datagram (either codec): nothing sensible to reply to.
+  if (!decoded.ok() || decoded->node.name() != "request") {
+    // Malformed datagram (either codec), or a frame that is not one
+    // <request>: nothing sensible to reply to.
     ++requests_failed_;
     if (metrics_) ErrorCounter("malformed")->Increment();
     return;
@@ -107,47 +104,7 @@ void RpcServer::HandleMessage(const Message& message) {
     ++binary_requests_;
     if (binary_requests_metric_) binary_requests_metric_->Increment();
   }
-
-  XmlNode response("response");
-  std::string gate_method;
-  if (decoded->node.name() == "batch") {
-    // One frame in, one frame out: every <request> child is handled in
-    // arrival order and answered at the same position of a single <batch>
-    // response frame. Each child keeps its own envelope, counters and
-    // span, so a batch is observably N calls that shared a datagram. The
-    // response gate sees the whole frame once under the pseudo-method
-    // "batch", which no bypass list matches — a batch containing writes is
-    // therefore always held until replication covers them.
-    response.set_name("batch");
-    response.SetAttribute("id", decoded->node.AttributeOr("id", ""));
-    for (const XmlNode& child : decoded->node.children()) {
-      if (child.name() != "request") continue;
-      ++batched_requests_;
-      if (batched_requests_metric_) batched_requests_metric_->Increment();
-      response.AddChild(HandleRequestNode(child));
-    }
-    gate_method = "batch";
-  } else {
-    response = HandleRequestNode(decoded->node);
-    gate_method = decoded->node.AttributeOr("method", "");
-  }
-
-  auto send = [network = network_, from = address_, to = message.from,
-               payload = proto::EncodeFrame(response, decoded->codec)] {
-    network->Send(from, to, payload);
-  };
-  if (response_gate_) {
-    // The gate owns the transmission now; it may run the closure
-    // immediately (reads) or hold it until e.g. replication catches up
-    // (writes). Handler work and metrics above already happened.
-    response_gate_(gate_method, std::move(send));
-  } else {
-    send();
-  }
-}
-
-XmlNode RpcServer::HandleRequestNode(const XmlNode& request) {
-  std::string id = request.AttributeOr("id", "");
+  const XmlNode& request = decoded->node;
   std::string method_name = request.AttributeOr("method", "");
 
   // Continue the caller's trace when the request carries span ids (the
@@ -171,7 +128,7 @@ XmlNode RpcServer::HandleRequestNode(const XmlNode& request) {
       handle_micros_ ? util::MonotonicMicros() : 0;
 
   XmlNode response("response");
-  response.SetAttribute("id", id);
+  response.SetAttribute("id", request.AttributeOr("id", ""));
 
   auto it = methods_.find(method_name);
   if (it == methods_.end()) {
@@ -217,7 +174,19 @@ XmlNode RpcServer::HandleRequestNode(const XmlNode& request) {
         static_cast<double>(util::MonotonicMicros() - handle_started));
   }
   span.Finish();
-  return response;
+
+  auto send = [network = network_, from = address_, to = message.from,
+               payload = proto::EncodeFrame(response, decoded->codec)] {
+    network->Send(from, to, payload);
+  };
+  if (response_gate_) {
+    // The gate owns the transmission now; it may run the closure
+    // immediately (reads) or hold it until e.g. replication catches up
+    // (writes). Handler work and metrics above already happened.
+    response_gate_(method_name, std::move(send));
+  } else {
+    send();
+  }
 }
 
 RpcClient::RpcClient(SimNetwork* network, EventLoop* loop,
@@ -335,72 +304,7 @@ void RpcClient::CallTo(std::string_view server, std::string_view method,
     params.SetAttribute("span", std::to_string(call.span.span_id()));
   }
   call.request = std::move(params);
-  if (batching_) {
-    // Inside a batch window: hold the fully prepared call (span opened,
-    // breaker consulted) until FlushBatch ships the window.
-    batch_queue_.push_back(std::move(call));
-    return;
-  }
   Dispatch(std::move(call));
-}
-
-std::size_t RpcClient::FlushBatch() {
-  batching_ = false;
-  std::vector<PendingCall> queued = std::move(batch_queue_);
-  batch_queue_.clear();
-  if (queued.empty()) return 0;
-
-  // Group by destination, preserving queue order within each group (and
-  // the order groups first appear, for determinism).
-  std::vector<std::string> order;
-  std::unordered_map<std::string, std::vector<PendingCall>> groups;
-  for (PendingCall& call : queued) {
-    if (groups.find(call.server) == groups.end()) {
-      order.push_back(call.server);
-    }
-    groups[call.server].push_back(std::move(call));
-  }
-
-  std::size_t frames = 0;
-  for (const std::string& server : order) {
-    std::vector<PendingCall>& group = groups[server];
-    if (group.size() == 1) {
-      // No amortization to be had; skip the batch envelope entirely so a
-      // flushed single call stays byte-identical to an unbatched one.
-      Dispatch(std::move(group.front()));
-      ++frames;
-      continue;
-    }
-    XmlNode batch("batch");
-    batch.SetAttribute("id", std::to_string(next_id_++));
-    util::Duration frame_timeout = 0;
-    std::vector<std::uint64_t> sub_ids;
-    sub_ids.reserve(group.size());
-    for (PendingCall& call : group) {
-      std::uint64_t id = next_id_++;
-      XmlNode request = call.request;
-      request.SetAttribute("id", std::to_string(id));
-      batch.AddChild(std::move(request));
-      if (call.timeout > frame_timeout) frame_timeout = call.timeout;
-      sub_ids.push_back(id);
-      pending_.emplace(id, std::move(call));
-      ++calls_sent_;
-      if (calls_metric_) calls_metric_->Increment();
-    }
-    ++batches_sent_;
-    network_->Send(address_, server, proto::EncodeFrame(batch, codec_));
-    ++frames;
-    loop_->ScheduleAfter(
-        frame_timeout, [this, sub_ids = std::move(sub_ids),
-                        alive = std::weak_ptr<int>(alive_)] {
-          if (alive.expired()) return;
-          // A lost batch frame fails every still-answered-nothing member
-          // over to the retry path; retries go out *unbatched*, so one
-          // poisoned batch can never wedge its members as a unit.
-          for (std::uint64_t id : sub_ids) TimeOutPending(id);
-        });
-  }
-  return frames;
 }
 
 void RpcClient::Dispatch(PendingCall call) {
@@ -418,20 +322,16 @@ void RpcClient::Dispatch(PendingCall call) {
   loop_->ScheduleAfter(timeout, [this, id,
                                  alive = std::weak_ptr<int>(alive_)] {
     if (alive.expired()) return;  // the client is gone; do not touch it
-    TimeOutPending(id);
+    auto it = pending_.find(id);
+    if (it == pending_.end()) return;  // already answered
+    PendingCall timed_out = std::move(it->second);
+    pending_.erase(it);
+    ++timeouts_;
+    if (timeouts_metric_) timeouts_metric_->Increment();
+    Status error =
+        Status::Unavailable("rpc timeout calling " + timed_out.method);
+    RetryOrFail(std::move(timed_out), std::move(error));
   });
-}
-
-void RpcClient::TimeOutPending(std::uint64_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // already answered
-  PendingCall timed_out = std::move(it->second);
-  pending_.erase(it);
-  ++timeouts_;
-  if (timeouts_metric_) timeouts_metric_->Increment();
-  Status error =
-      Status::Unavailable("rpc timeout calling " + timed_out.method);
-  RetryOrFail(std::move(timed_out), std::move(error));
 }
 
 void RpcClient::RetryOrFail(PendingCall call, Status error) {
@@ -492,8 +392,7 @@ void RpcClient::RecordOutcome(const std::string& server, bool success) {
 
 void RpcClient::HandleMessage(const Message& message) {
   auto decoded = proto::DecodeFrame(message.payload);
-  if (!decoded.ok() || (decoded->node.name() != "response" &&
-                        decoded->node.name() != "batch")) {
+  if (!decoded.ok() || decoded->node.name() != "response") {
     // Corrupted on the wire. For XML frames the request id may still be
     // legible in the mangled payload; if so, fail that call over to the
     // retry path now instead of letting it burn the rest of its timeout.
@@ -517,17 +416,7 @@ void RpcClient::HandleMessage(const Message& message) {
     RetryOrFail(std::move(call), std::move(error));
     return;
   }
-  if (decoded->node.name() == "batch") {
-    // The server's one-frame answer to a batch: complete every member.
-    for (XmlNode& child : decoded->node.children()) {
-      if (child.name() == "response") HandleResponseNode(std::move(child));
-    }
-    return;
-  }
-  HandleResponseNode(std::move(decoded->node));
-}
-
-void RpcClient::HandleResponseNode(XmlNode response) {
+  XmlNode& response = decoded->node;
   auto id_result = util::ParseInt64(response.AttributeOr("id", ""));
   if (!id_result.ok()) return;
   auto it = pending_.find(static_cast<std::uint64_t>(*id_result));

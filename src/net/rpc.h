@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -28,19 +27,12 @@ namespace pisrep::net {
 ///   <response id="7" status="ok"> ...result children... </response>
 ///   <response id="7" status="error" code="not_found">message</response>
 ///
-/// Two transport refinements ride on top of that logical schema
-/// (DESIGN.md §14), both fully backward compatible:
-///
-///  - Codec negotiation: the same element tree may travel as a compact
-///    binary frame (proto/binary_codec.h). The server sniffs the codec from
-///    the frame's first byte and answers in kind, so XML and binary clients
-///    coexist on one server with no handshake.
-///
-///  - Batching: a client may flush N queued calls as one
-///    <batch><request/>...</batch> frame; the server answers all of them in
-///    one <batch><response/>...</batch> frame. Each inner request keeps its
-///    own id, method counters, span and error envelope — a batch is purely
-///    a framing optimization, bit-equivalent to N single round trips.
+/// One request frame carries one call and one response frame answers it;
+/// any other frame is malformed and goes unanswered. The same element tree
+/// may travel as a compact binary frame instead (proto/binary_codec.h,
+/// DESIGN.md §14.2): the server sniffs the codec from the frame's first
+/// byte and answers in kind, so XML and binary clients coexist on one
+/// server with no handshake.
 class RpcServer {
  public:
   /// A method takes the request element and returns the result element (its
@@ -81,10 +73,8 @@ class RpcServer {
   const std::string& address() const { return address_; }
   std::uint64_t requests_handled() const { return requests_handled_; }
   std::uint64_t requests_failed() const { return requests_failed_; }
-  /// Frames that arrived in the binary codec (requests and batches).
+  /// Requests that arrived in the binary codec.
   std::uint64_t binary_requests() const { return binary_requests_; }
-  /// Requests that arrived inside a <batch> frame.
-  std::uint64_t batched_requests() const { return batched_requests_; }
 
   /// Successful invocations of one method (operations telemetry).
   std::uint64_t MethodCalls(std::string_view method) const;
@@ -99,10 +89,6 @@ class RpcServer {
 
  private:
   void HandleMessage(const Message& message);
-  /// Dispatches one logical <request> element and returns its <response>
-  /// envelope (status/code/text filled in). Shared by the single-request
-  /// and batch paths so both produce byte-identical response elements.
-  xml::XmlNode HandleRequestNode(const xml::XmlNode& request);
   obs::Counter* MethodCounter(const std::string& method);
   obs::Counter* ErrorCounter(const std::string& code);
 
@@ -114,7 +100,6 @@ class RpcServer {
   std::uint64_t requests_handled_ = 0;
   std::uint64_t requests_failed_ = 0;
   std::uint64_t binary_requests_ = 0;
-  std::uint64_t batched_requests_ = 0;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
@@ -123,7 +108,6 @@ class RpcServer {
   std::unordered_map<std::string, obs::Counter*> error_counters_;
   obs::Histogram* handle_micros_ = nullptr;
   obs::Counter* binary_requests_metric_ = nullptr;
-  obs::Counter* batched_requests_metric_ = nullptr;
 };
 
 /// Asynchronous RPC client endpoint.
@@ -181,20 +165,6 @@ class RpcClient {
   /// negotiation. Default XML (the paper's protocol).
   void set_codec(proto::WireCodec codec) { codec_ = codec; }
   proto::WireCodec codec() const { return codec_; }
-
-  /// Request batching. Between BeginBatch and FlushBatch, Call/CallTo
-  /// queue instead of transmitting; FlushBatch groups the queue by server
-  /// and ships each group as a single <batch> frame (a group of one goes
-  /// out as a plain request). Every queued call keeps its own id, retry
-  /// budget and callback; a lost batch frame times out per call and each
-  /// call retries *individually* — batching never weakens delivery
-  /// semantics, it only amortizes per-frame cost on the happy path.
-  void BeginBatch() { batching_ = true; }
-  /// Sends the queued calls; returns the number of frames transmitted.
-  std::size_t FlushBatch();
-  bool batching() const { return batching_; }
-  /// Multi-request <batch> frames transmitted so far.
-  std::uint64_t batches_sent() const { return batches_sent_; }
 
   void set_breaker(BreakerConfig config) { breaker_config_ = config; }
   const BreakerConfig& breaker_config() const { return breaker_config_; }
@@ -266,13 +236,6 @@ class RpcClient {
   ServerState& StateFor(const std::string& server);
   void Dispatch(PendingCall call);
   void HandleMessage(const Message& message);
-  /// Completes the pending call addressed by one <response> element
-  /// (shared by the single-response and batch-response paths). Takes the
-  /// decoded element by value so the answer moves into the callback.
-  void HandleResponseNode(xml::XmlNode response);
-  /// Fails the still-pending call `id` over to the retry path (timeout
-  /// bookkeeping included); no-op when the call was already answered.
-  void TimeOutPending(std::uint64_t id);
   /// Retries `call` with backoff, or completes it with `error` when the
   /// retry budget is exhausted.
   void RetryOrFail(PendingCall call, util::Status error);
@@ -290,9 +253,6 @@ class RpcClient {
   std::uint64_t next_id_ = 1;
   int max_retries_ = 0;
   proto::WireCodec codec_ = proto::WireCodec::kXml;
-  bool batching_ = false;
-  std::vector<PendingCall> batch_queue_;
-  std::uint64_t batches_sent_ = 0;
   /// Private jitter stream; seeded deterministically so simulations stay
   /// reproducible, decorrelated per client by the address.
   util::Rng rng_;

@@ -151,7 +151,6 @@ Result<std::string> AccountManager::Login(std::string_view username,
 
   std::string session = MintToken("session", account.username, 32);
   sessions_[session] = account.id;
-  PublishSessions();
   return session;
 }
 
@@ -175,24 +174,6 @@ Result<core::UserId> AccountManager::Authenticate(
 
 void AccountManager::Logout(std::string_view session) {
   sessions_.erase(std::string(session));
-  PublishSessions();
-}
-
-void AccountManager::PublishSessions() {
-  shared_sessions_.Store(std::make_shared<const SessionTable>(sessions_));
-}
-
-Result<core::UserId> AccountManager::AuthenticateShared(
-    std::string_view session) const {
-  std::shared_ptr<const SessionTable> table = shared_sessions_.Load();
-  if (table == nullptr) {
-    return Status::Unauthenticated("invalid session");
-  }
-  auto it = table->find(std::string(session));
-  if (it == table->end()) {
-    return Status::Unauthenticated("invalid session");
-  }
-  return it->second;
 }
 
 Result<Account> AccountManager::GetAccount(core::UserId id) const {

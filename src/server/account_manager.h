@@ -2,7 +2,6 @@
 #define PISREP_SERVER_ACCOUNT_MANAGER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 #include "core/trust.h"
 #include "core/types.h"
 #include "storage/database.h"
-#include "util/atomic_shared_ptr.h"
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -83,23 +81,12 @@ class AccountManager {
   /// Resolves a session token to the logged-in account id.
   util::Result<core::UserId> Authenticate(std::string_view session) const;
 
-  /// Thread-safe session lookup against the copy-on-write session table
-  /// republished by Login/Logout/DropSessions. The snapshot read path
-  /// authenticates through this so concurrent readers never race the
-  /// mutable map; answers may trail an in-flight Login by one publication,
-  /// exactly like the score snapshot itself (DESIGN.md §14).
-  util::Result<core::UserId> AuthenticateShared(
-      std::string_view session) const;
-
   /// Invalidates a session token.
   void Logout(std::string_view session);
 
   /// Invalidates every session (what a process restart does to in-memory
   /// session state); accounts are untouched. Clients must log in again.
-  void DropSessions() {
-    sessions_.clear();
-    PublishSessions();
-  }
+  void DropSessions() { sessions_.clear(); }
 
   util::Result<Account> GetAccount(core::UserId id) const;
   util::Result<Account> GetAccountByUsername(std::string_view username) const;
@@ -147,10 +134,6 @@ class AccountManager {
   /// from session tokens).
   std::string MintToken(std::string_view purpose, std::string_view username,
                         std::size_t rng_bytes);
-  /// Swaps a fresh immutable copy of sessions_ into shared_sessions_.
-  /// Called by every session mutation; sessions are rare (one per login)
-  /// next to queries, so the copy is cheap where it matters.
-  void PublishSessions();
 
   storage::Database* db_;
   Config config_;
@@ -158,10 +141,6 @@ class AccountManager {
   storage::Table* users_;
   storage::Table* activations_;
   std::unordered_map<std::string, core::UserId> sessions_;
-  /// Immutable published view of sessions_ for lock-free concurrent
-  /// readers (null until the first mutation publishes an empty table).
-  using SessionTable = std::unordered_map<std::string, core::UserId>;
-  util::AtomicSharedPtr<const SessionTable> shared_sessions_;
   core::UserId next_user_id_ = 1;
   /// Trust-change log for incremental aggregation: (generation, account).
   /// In-memory only — like sessions, it does not survive a restart, which

@@ -40,6 +40,13 @@ Result<core::SoftwareMeta> MetaFromXml(const XmlNode& node) {
   return meta;
 }
 
+SnapshotBuildOptions SnapshotOptionsOf(const ReputationServer::Config& config) {
+  SnapshotBuildOptions options;
+  options.max_comments_per_query = config.max_comments_per_query;
+  options.behavior_report_threshold = config.behavior_report_threshold;
+  return options;
+}
+
 }  // namespace
 
 ReputationServer::ReputationServer(storage::Database* db,
@@ -230,80 +237,35 @@ Result<SoftwareInfo> ReputationServer::QuerySoftware(
   PISREP_RETURN_IF_ERROR(accounts_.Authenticate(session).status());
   ++stats_.queries;
 
-  if (config_.snapshot_reads) {
-    std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
-    if (snapshot != nullptr &&
-        snapshot->registry_generation == registry_.content_generation() &&
-        snapshot->votes_generation == votes_.content_generation()) {
-      // Nothing but run counters changed since publication: the snapshot
-      // answer, with the run count read live, is bit-identical to what the
-      // store walk below would produce, minus the walk. Any other mutation
-      // bumps a generation and forces the slow path until the next
-      // publication re-arms the gate.
-      ++stats_.snapshot_hits;
-      if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
-      if (snapshot_age_gauge_) {
-        snapshot_age_gauge_->Set(Now() - snapshot->published_at);
-      }
-      SoftwareInfo info = LookupSnapshotInfo(*snapshot, id);
-      info.run_count = registry_.RunCount(id);
-      AnnotateManifest(&info);
-      return info;
+  SoftwareInfo info;
+  std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
+  if (snapshot->registry_generation == registry_.content_generation() &&
+      snapshot->votes_generation == votes_.content_generation()) {
+    // Nothing but run counters changed since publication: the snapshot
+    // answer, with the run count read live, is bit-identical to what
+    // MaterializeTitle would render, minus the store walk. Any other
+    // mutation bumps a generation and forces the walk until the next
+    // publication re-arms the gate.
+    ++stats_.snapshot_hits;
+    if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
+    if (snapshot_age_gauge_) {
+      snapshot_age_gauge_->Set(Now() - snapshot->published_at);
     }
+    info = LookupSnapshotInfo(*snapshot, id);
+    info.run_count = registry_.RunCount(id);
+  } else {
     ++stats_.snapshot_misses;
     if (snapshot_misses_metric_) snapshot_misses_metric_->Increment();
+    info = MaterializeTitle(registry_, votes_, SnapshotOptionsOf(config_), id);
   }
-
-  SoftwareInfo info;
-  // Run statistics attach to the digest and exist even before the first
-  // rating registers the software.
-  info.run_count = registry_.RunCount(id);
-  auto meta = registry_.GetSoftware(id);
-  if (!meta.ok()) {
-    info.meta.id = id;
-    info.known = false;
-    AnnotateManifest(&info);
-    return info;
-  }
-  info.meta = *meta;
-  info.known = true;
-  auto score = registry_.GetScore(id);
-  if (score.ok()) info.score = *score;
-  if (!info.meta.company.empty()) {
-    auto vendor = registry_.GetVendorScore(info.meta.company);
-    if (vendor.ok()) info.vendor_score = *vendor;
-  }
-  info.reported_behaviors =
-      registry_.ReportedBehaviors(id, config_.behavior_report_threshold);
-  info.comments = votes_.VisibleComments(id, config_.max_comments_per_query);
-  AnnotateManifest(&info);
-  return info;
-}
-
-Result<SoftwareInfo> ReputationServer::QuerySoftwareSnapshot(
-    std::string_view session, const SoftwareId& id) const {
-  // Lock-free from the first instruction: the COW session table and the
-  // published snapshot are both read through one acquire load each, and
-  // the snapshot shared_ptr pins the epoch for the whole read.
-  PISREP_RETURN_IF_ERROR(accounts_.AuthenticateShared(session).status());
-  std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
-  if (snapshot == nullptr) {
-    return util::Status::Unavailable("no score snapshot published");
-  }
-  snapshot_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
-  SoftwareInfo info = LookupSnapshotInfo(*snapshot, id);
   AnnotateManifest(&info);
   return info;
 }
 
 void ReputationServer::PublishSnapshot() {
-  if (!config_.snapshot_reads) return;
-  SnapshotBuildOptions options;
-  options.max_comments_per_query = config_.max_comments_per_query;
-  options.behavior_report_threshold = config_.behavior_report_threshold;
-  std::shared_ptr<const ScoreSnapshot> snapshot = BuildScoreSnapshot(
-      registry_, votes_, options, ++snapshot_epoch_, Now());
+  std::shared_ptr<const ScoreSnapshot> snapshot =
+      BuildScoreSnapshot(registry_, votes_, SnapshotOptionsOf(config_),
+                         ++snapshot_epoch_, Now());
   snapshot_.Publish(snapshot);
   if (snapshot_epoch_gauge_) {
     snapshot_epoch_gauge_->Set(static_cast<std::int64_t>(snapshot->epoch));

@@ -1,7 +1,6 @@
 #ifndef PISREP_SERVER_REPUTATION_SERVER_H_
 #define PISREP_SERVER_REPUTATION_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,8 +53,9 @@ struct ServerStats {
   std::uint64_t registrations_rejected = 0;
   std::uint64_t logins = 0;
   std::uint64_t queries = 0;
-  /// Queries answered straight from the published snapshot / forced onto
-  /// the slow path by a post-publication mutation (subset of `queries`).
+  /// Queries answered straight from the published snapshot / rendered from
+  /// the live stores after a post-publication mutation (subset of
+  /// `queries`).
   std::uint64_t snapshot_hits = 0;
   std::uint64_t snapshot_misses = 0;
   std::uint64_t votes_accepted = 0;
@@ -124,15 +124,6 @@ class ReputationServer {
     /// sweep. Per-shard config like the cadence above; default off keeps
     /// single-server output bit-identical.
     bool aggregation_force_full_sweep = false;
-    /// Epoch-snapshot read path (DESIGN.md §14). When true the server
-    /// publishes an immutable ScoreSnapshot at construction and after
-    /// every aggregation run; QuerySoftware serves from it — no mutex, no
-    /// store walk — whenever no content mutation happened since
-    /// publication, and falls back to the live stores otherwise (so
-    /// answers stay bit-identical to the historical behaviour either
-    /// way). QuerySoftwareSnapshot additionally offers the always-snapshot
-    /// thread-safe path for concurrent readers.
-    bool snapshot_reads = true;
     /// How often the tiered storage engine's eviction schedule runs
     /// (storage::Database::TierTick: fault promotion, age/LRU demotion,
     /// cold-store GC) when the database is tiered and a loop is attached.
@@ -199,29 +190,23 @@ class ReputationServer {
                                   std::string_view password,
                                   util::TimePoint now);
 
-  /// Looks up everything known about a software id.
+  /// Looks up everything known about a software id (DESIGN.md §14.1): from
+  /// the published snapshot while no content mutation happened since its
+  /// publication, otherwise rendered from the live stores by
+  /// MaterializeTitle. Either way the answer is the same.
   util::Result<SoftwareInfo> QuerySoftware(std::string_view session,
                                            const core::SoftwareId& id);
 
-  /// Lock-free QuerySoftware against the published epoch snapshot: safe to
-  /// call from any thread concurrently with writers on the loop thread.
-  /// Serves whatever epoch is current (answers may trail unaggregated
-  /// mutations until the next publication — RCU semantics); fails
-  /// kUnavailable before the first publication. Touches no mutex, no event
-  /// loop and no store; the only allocation is the response copy.
-  util::Result<SoftwareInfo> QuerySoftwareSnapshot(
-      std::string_view session, const core::SoftwareId& id) const;
-
-  /// The published snapshot, or null before the first publication. Readers
-  /// hold the shared_ptr while reading and thereby pin their epoch.
+  /// The published snapshot (one is published at construction). Readers
+  /// hold the shared_ptr while reading and thereby pin their epoch; any
+  /// thread may read it concurrently with the loop thread's publications.
   std::shared_ptr<const ScoreSnapshot> CurrentSnapshot() const {
     return snapshot_.Current();
   }
 
   /// Rebuilds and publishes the snapshot from current store contents.
   /// Called automatically at construction and after every aggregation
-  /// run; exposed for benches that mutate stores directly. No-op when
-  /// `snapshot_reads` is off.
+  /// run; exposed for benches that mutate stores directly.
   void PublishSnapshot();
 
   /// Runs one tiered-storage eviction pass now (the scheduled tick calls
@@ -237,12 +222,6 @@ class ReputationServer {
 
   /// Score rows currently pinned resident for the published snapshot.
   std::size_t pinned_score_count() const { return pinned_scores_.size(); }
-
-  /// Calls answered by QuerySoftwareSnapshot (its own counter: the shared
-  /// ServerStats are deliberately not touched from concurrent readers).
-  std::uint64_t snapshot_queries() const {
-    return snapshot_queries_.load(std::memory_order_relaxed);
-  }
 
   /// Submits a rating (registering the software from `meta` if new).
   util::Status SubmitRating(std::string_view session,
@@ -377,8 +356,6 @@ class ReputationServer {
   /// cross-thread surface; everything feeding it runs on the loop thread.
   SnapshotPublisher snapshot_;
   std::uint64_t snapshot_epoch_ = 0;
-  /// QuerySoftwareSnapshot call counter (relaxed: it is a statistic).
-  mutable std::atomic<std::uint64_t> snapshot_queries_{0};
   obs::Gauge* snapshot_age_gauge_ = nullptr;
   obs::Gauge* snapshot_epoch_gauge_ = nullptr;
   obs::Counter* snapshot_hits_metric_ = nullptr;

@@ -10,11 +10,39 @@ proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
                                        const core::SoftwareId& id) {
   auto it = snapshot.by_software.find(id);
   if (it != snapshot.by_software.end()) return it->second;
-  // Unknown digest: the same shape the slow path returns for software that
-  // is neither registered nor run-counted.
+  // Unknown digest: the same shape MaterializeTitle returns for software
+  // that is neither registered nor run-counted.
   proto::SoftwareInfo info;
   info.meta.id = id;
   info.known = false;
+  return info;
+}
+
+proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
+                                     const VoteStore& votes,
+                                     const SnapshotBuildOptions& options,
+                                     const core::SoftwareId& id) {
+  proto::SoftwareInfo info;
+  // Run statistics attach to the digest and exist even before the first
+  // rating registers the software.
+  info.run_count = registry.RunCount(id);
+  auto meta = registry.GetSoftware(id);
+  if (!meta.ok()) {
+    info.meta.id = id;
+    info.known = false;
+    return info;
+  }
+  info.meta = *meta;
+  info.known = true;
+  auto score = registry.GetScore(id);
+  if (score.ok()) info.score = *score;
+  if (!info.meta.company.empty()) {
+    auto vendor = registry.GetVendorScore(info.meta.company);
+    if (vendor.ok()) info.vendor_score = *vendor;
+  }
+  info.reported_behaviors =
+      registry.ReportedBehaviors(id, options.behavior_report_threshold);
+  info.comments = votes.VisibleComments(id, options.max_comments_per_query);
   return info;
 }
 
@@ -32,31 +60,15 @@ std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
   snapshot->registry_generation = registry.content_generation();
   snapshot->votes_generation = votes.content_generation();
 
-  // Registered software, materialized through the same accessors the slow
-  // path reads — equivalence is structural, not re-implemented.
   for (const core::SoftwareId& id : registry.AllSoftware()) {
-    proto::SoftwareInfo info;
-    info.run_count = registry.RunCount(id);
-    auto meta = registry.GetSoftware(id);
-    PISREP_CHECK(meta.ok()) << "software listed but not readable";
-    info.meta = *meta;
-    info.known = true;
-    auto score = registry.GetScore(id);
-    if (score.ok()) info.score = *score;
-    if (!info.meta.company.empty()) {
-      auto vendor = registry.GetVendorScore(info.meta.company);
-      if (vendor.ok()) info.vendor_score = *vendor;
-    }
-    info.reported_behaviors =
-        registry.ReportedBehaviors(id, options.behavior_report_threshold);
-    info.comments =
-        votes.VisibleComments(id, options.max_comments_per_query);
+    proto::SoftwareInfo info = MaterializeTitle(registry, votes, options, id);
+    PISREP_CHECK(info.known) << "software listed but not readable";
     snapshot->by_software.emplace(id, std::move(info));
   }
 
-  // Run statistics attach to bare digests before any registration; the
-  // slow path answers those with known=false plus the counter, so the
-  // snapshot must too.
+  // Run statistics attach to bare digests before any registration;
+  // MaterializeTitle answers those with known=false plus the counter, so
+  // the snapshot must too.
   for (const auto& [id, runs] : registry.AllRunCounts()) {
     if (snapshot->by_software.find(id) != snapshot->by_software.end()) {
       continue;

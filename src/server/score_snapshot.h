@@ -39,7 +39,7 @@ struct ScoreSnapshot {
 
   /// Digest → fully materialized QuerySoftware answer. Digests known only
   /// through run statistics are present too (run_count set, known=false),
-  /// mirroring the slow path's handling of unregistered software.
+  /// exactly as MaterializeTitle renders unregistered software.
   std::unordered_map<core::SoftwareId, proto::SoftwareInfo,
                      core::SoftwareIdHash>
       by_software;
@@ -48,25 +48,33 @@ struct ScoreSnapshot {
   std::unordered_map<core::VendorId, core::VendorScore> by_vendor;
 };
 
-/// The answer the snapshot gives for `id` — identical in shape to the slow
-/// path: a full entry when the digest is known, otherwise an empty
-/// known=false record carrying the digest. Shared by the server read path,
-/// the consistency property test and the serving benchmark so all three
-/// agree on the semantics by construction.
+/// The answer the snapshot gives for `id` — identical in shape to
+/// MaterializeTitle's: a full entry when the digest is known, otherwise an
+/// empty known=false record carrying the digest. Shared by the server read
+/// path and the consistency property test so both agree on the semantics
+/// by construction.
 proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
                                        const core::SoftwareId& id);
 
-/// Freshness-relevant knobs copied from ReputationServer::Config; the
-/// snapshot must materialize comments and behaviours exactly as the slow
-/// path would render them.
+/// The rendering knobs copied from ReputationServer::Config (how many
+/// comments an answer carries, when a behaviour is surfaced).
 struct SnapshotBuildOptions {
   std::size_t max_comments_per_query = 10;
   int behavior_report_threshold = 2;
 };
 
-/// Materializes a snapshot from the live stores through the same accessors
-/// the slow path uses (structural equivalence, not a parallel
-/// implementation). Runs on the writer thread; the result is immutable.
+/// Renders everything the live stores know about `id` as a QuerySoftware
+/// answer: the full entry when the digest is registered, otherwise
+/// known=false with the digest and its run count. The one renderer of a
+/// SoftwareInfo: BuildScoreSnapshot calls it for every registered title,
+/// and QuerySoftware calls it when the snapshot gate misses.
+proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
+                                     const VoteStore& votes,
+                                     const SnapshotBuildOptions& options,
+                                     const core::SoftwareId& id);
+
+/// Materializes a snapshot from the live stores through MaterializeTitle.
+/// Runs on the writer thread; the result is immutable.
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,

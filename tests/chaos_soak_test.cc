@@ -122,7 +122,6 @@ class Harness {
       config.anti_entropy.period = 10 * util::kSecond;
       RouterConfig rc;
       rc.service_address = "server";
-      rc.read_fanout = 1;
       cluster_ =
           std::make_unique<ShardCluster>(&network_, &loop_, std::move(config));
       PISREP_CHECK(cluster_->Start().ok());

@@ -380,7 +380,7 @@ class Harness {
   /// `gossip_period` > 0 turns on decentralized failure detection with a
   /// suspicion timeout of three periods; 0 leaves both background agents
   /// off so the event loop can drain. `tweak` gets the final word on both
-  /// configs (replication factor, quorum, anti-entropy, read fan-out).
+  /// configs (replication factor, quorum, anti-entropy).
   explicit Harness(
       int num_shards, util::Duration gossip_period = 0,
       obs::MetricsRegistry* metrics = nullptr,
@@ -1040,7 +1040,7 @@ TEST(ClusterRouting, DirectShardClientFollowsOneRedirect) {
 }
 
 // ---------------------------------------------------------------------------
-// Anti-entropy and read repair: silent divergence is found and healed
+// Anti-entropy: silent divergence is found and healed
 // ---------------------------------------------------------------------------
 
 TEST(ClusterAntiEntropy, DivergentReplicaIsDetectedAndResynced) {
@@ -1091,52 +1091,6 @@ TEST(ClusterAntiEntropy, DivergentReplicaIsDetectedAndResynced) {
                     "pisrep_cluster_anti_entropy_repairs_total", "shard",
                     node->name()))
                 ->Value(),
-            1u);
-}
-
-TEST(ClusterReadRepair, DivergedScoreRowIsRepairedAfterAQuery) {
-  obs::MetricsRegistry metrics;
-  Harness h(2, 0, &metrics, [](ClusterConfig&, RouterConfig& r) {
-    r.read_fanout = 1;
-  });
-  std::string session = h.Onboard("rr-user");
-  ASSERT_TRUE(h.SubmitRating(session, ProgramMeta(0), 9, "to-score").ok());
-  h.RunAggregation(util::kDay);
-
-  ShardNode* owner = h.cluster()->OwnerShard(ProgramMeta(0).id);
-  h.Pump([&] { return owner->shipper()->channel_caught_up(0); }, 30);
-  ASSERT_TRUE(owner->shipper()->channel_caught_up(0));
-
-  const std::string hex = ProgramMeta(0).id.ToHex();
-  auto table = owner->replica(0)->db()->GetTable("software_scores");
-  ASSERT_TRUE(table.ok());
-  auto row = (*table)->Get(storage::Value::Str(hex));
-  ASSERT_TRUE(row.ok());
-  storage::Row poisoned = *row;
-  poisoned[1] = storage::Value::Real(0.125);
-  ASSERT_TRUE((*table)->UpsertUnlogged(std::move(poisoned)).ok());
-  ASSERT_NE(ScoreFingerprint(owner->replica(0)->db(), hex),
-            ScoreFingerprint(owner->db(), hex));
-
-  // An ordinary routed read triggers the repair; the client's response is
-  // served straight from the primary, undelayed and uncorrupted.
-  XmlNode query("request");
-  query.AddTextChild("session", session);
-  query.AddTextChild("id", hex);
-  auto response = h.Call("QuerySoftware", std::move(query));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-
-  h.Pump([&] { return h.router()->read_repairs() >= 1; }, 30);
-  EXPECT_GE(h.router()->read_repairs(), 1u);
-  h.Pump(
-      [&] {
-        return ScoreFingerprint(owner->replica(0)->db(), hex) ==
-               ScoreFingerprint(owner->db(), hex);
-      },
-      30);
-  EXPECT_EQ(ScoreFingerprint(owner->replica(0)->db(), hex),
-            ScoreFingerprint(owner->db(), hex));
-  EXPECT_GE(metrics.GetCounter("pisrep_cluster_read_repairs_total")->Value(),
             1u);
 }
 
@@ -1547,51 +1501,34 @@ TEST(ClusterCodec, RouterForwardsBinaryAndRepliesInKind) {
   }
 }
 
-TEST(ClusterCodec, BatchedFrameThroughRouterCompletesEveryMember) {
-  obs::MetricsRegistry metrics;
-  Harness h(2, /*gossip_period=*/0, &metrics);
-  RunScriptedWorkload(h);
-  std::string session = h.Onboard("batch-reader");
-
-  net::RpcClient batch_client(&h.network(), &h.loop(), "batch-tester",
-                              "server");
-  ASSERT_TRUE(batch_client.Start().ok());
-  std::vector<std::optional<Result<XmlNode>>> responses(
-      static_cast<std::size_t>(kPrograms));
-  batch_client.BeginBatch();
-  for (int i = 0; i < kPrograms; ++i) {
-    XmlNode params("request");
-    params.AddTextChild("session", session);
-    params.AddTextChild("id", ProgramMeta(i).id.ToHex());
-    batch_client.Call(
-        "QuerySoftware", std::move(params),
-        [&responses, i](Result<XmlNode> r) {
-          responses[static_cast<std::size_t>(i)] = std::move(r);
-        },
-        5 * util::kSecond);
+TEST(ClusterCodec, StrayBatchFrameGetsNoAnswerAndNoUpstreamCall) {
+  Harness h(2);
+  std::string session = h.Onboard("stray-batch");
+  std::vector<std::string> inbox;
+  ASSERT_TRUE(h.network()
+                  .Bind("raw-probe",
+                        [&inbox](const net::Message& message) {
+                          inbox.push_back(message.payload);
+                        })
+                  .ok());
+  for (proto::WireCodec codec :
+       {proto::WireCodec::kXml, proto::WireCodec::kBinary}) {
+    XmlNode batch("batch");
+    batch.SetAttribute("id", "1");
+    XmlNode& request = batch.AddChild("request");
+    request.SetAttribute("id", "2");
+    request.SetAttribute("method", "QuerySoftware");
+    request.AddTextChild("session", session);
+    request.AddTextChild("id", ProgramMeta(0).id.ToHex());
+    const std::uint64_t requests = h.router()->requests();
+    const std::uint64_t sent = h.network().messages_sent();
+    h.network().Send("raw-probe", "server", proto::EncodeFrame(batch, codec));
+    h.Pump({}, 5);
+    // The probe's own frame is the only message: no upstream call, no reply.
+    EXPECT_TRUE(inbox.empty());
+    EXPECT_EQ(h.network().messages_sent(), sent + 1);
+    EXPECT_EQ(h.router()->requests(), requests);
   }
-  EXPECT_EQ(batch_client.FlushBatch(), 1u);  // one frame to one router
-  h.Pump([&responses] {
-    for (const auto& r : responses) {
-      if (!r.has_value()) return false;
-    }
-    return true;
-  });
-
-  // The router unbundled the batch and answered member by member; every
-  // answer matches the unbatched XML path bit for bit.
-  for (int i = 0; i < kPrograms; ++i) {
-    const auto& response = responses[static_cast<std::size_t>(i)];
-    ASSERT_TRUE(response.has_value()) << "program " << i;
-    ASSERT_TRUE(response->ok()) << (*response).status().ToString();
-    auto oracle = QueryProgram(h, session, i);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    EXPECT_EQ(CanonicalResponse(**response), CanonicalResponse(*oracle))
-        << "program " << i;
-  }
-  EXPECT_EQ(batch_client.batches_sent(), 1u);
-  EXPECT_GE(metrics.GetCounter("pisrep_rpc_batched_requests_total")->Value(),
-            static_cast<std::uint64_t>(kPrograms));
 }
 
 // ---------------------------------------------------------------------------

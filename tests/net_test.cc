@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/rpc.h"
+#include "obs/metrics.h"
 #include "proto/binary_codec.h"
 #include "xml/xml_node.h"
 #include "xml/xml_writer.h"
@@ -410,7 +412,7 @@ TEST(RpcDuplicationTest, DuplicatedDeliveriesFireCallbackExactlyOnce) {
   EXPECT_EQ(server.requests_handled(), 2u);
 }
 
-// --- Binary codec and batching over RPC -------------------------------------
+// --- Binary codec over RPC ---------------------------------------------------
 
 TEST_F(RpcFixture, BinaryCodecRoundTripsEndToEnd) {
   server.RegisterMethod("Echo",
@@ -487,105 +489,38 @@ TEST_F(RpcFixture, BinaryCodecShrinksWireBytes) {
   EXPECT_LT(binary_bytes, xml_bytes);
 }
 
-TEST_F(RpcFixture, BatchFlushesOneFramePerServer) {
-  server.RegisterMethod("Id",
-                        [](const XmlNode& request) -> util::Result<XmlNode> {
-                          XmlNode result("result");
-                          result.AddTextChild(
-                              "v", request.ChildText("v").value_or(""));
-                          return result;
-                        });
-  std::vector<std::string> results(8);
-  std::uint64_t sent_before = network.messages_sent();
-  client.BeginBatch();
-  for (int i = 0; i < 8; ++i) {
-    XmlNode params("request");
-    params.AddTextChild("v", std::to_string(i));
-    client.Call("Id", std::move(params),
-                [&results, i](util::Result<XmlNode> response) {
-                  ASSERT_TRUE(response.ok());
-                  results[i] = response->ChildText("v").value_or("");
-                });
-  }
-  EXPECT_EQ(network.messages_sent(), sent_before);  // nothing on the wire yet
-  EXPECT_EQ(client.FlushBatch(), 1u);               // one frame, one server
-  loop.RunAll();
-  // One request frame + one batched response frame for 8 calls.
-  EXPECT_EQ(network.messages_sent() - sent_before, 2u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i], std::to_string(i));
-  EXPECT_EQ(server.batched_requests(), 8u);
-  EXPECT_EQ(client.batches_sent(), 1u);
-}
-
-TEST_F(RpcFixture, SingleCallBatchFallsBackToPlainFrame) {
+TEST_F(RpcFixture, StrayBatchFrameIsMalformedInEitherCodec) {
+  obs::MetricsRegistry metrics;
+  server.AttachObservability(&metrics, nullptr);
   server.RegisterMethod("Ping", [](const XmlNode&) -> util::Result<XmlNode> {
     return XmlNode("result");
   });
-  bool ok = false;
-  client.BeginBatch();
-  client.Call("Ping", XmlNode("request"),
-              [&](util::Result<XmlNode> response) { ok = response.ok(); });
-  EXPECT_EQ(client.FlushBatch(), 1u);
-  loop.RunAll();
-  EXPECT_TRUE(ok);
-  // A one-element batch is sent unbatched — byte-identical to a plain
-  // call, so the server's batch counter stays untouched.
-  EXPECT_EQ(server.batched_requests(), 0u);
-  EXPECT_EQ(client.batches_sent(), 0u);
-}
-
-TEST_F(RpcFixture, BatchMemberErrorDoesNotPoisonSiblings) {
-  server.RegisterMethod("Good", [](const XmlNode&) -> util::Result<XmlNode> {
-    return XmlNode("result");
-  });
-  server.RegisterMethod("Bad", [](const XmlNode&) -> util::Result<XmlNode> {
-    return util::Status::PermissionDenied("nope");
-  });
-  util::Status good_status = util::Status::Internal("unset");
-  util::Status bad_status;
-  client.BeginBatch();
-  client.Call("Good", XmlNode("request"),
-              [&](util::Result<XmlNode> response) {
-                good_status = response.status();
-              });
-  client.Call("Bad", XmlNode("request"),
-              [&](util::Result<XmlNode> response) {
-                bad_status = response.status();
-              });
-  client.FlushBatch();
-  loop.RunAll();
-  EXPECT_TRUE(good_status.ok());
-  EXPECT_EQ(bad_status.code(), util::StatusCode::kPermissionDenied);
-}
-
-TEST(RpcBatchTimeoutTest, LostBatchRetriesMembersIndividually) {
-  EventLoop loop;
-  NetworkConfig config;
-  config.base_latency = 5 * kMillisecond;
-  config.jitter = 0;
-  SimNetwork network(&loop, config);
-  RpcClient client(&network, &loop, "client", "server");
-  ASSERT_TRUE(client.Start().ok());
-  client.set_max_retries(2);
-
-  // No server bound: the batch frame evaporates; each member must time
-  // out, retry individually (unbatched) and finally fail kUnavailable.
-  int failed = 0;
-  client.BeginBatch();
-  for (int i = 0; i < 3; ++i) {
-    client.Call(
-        "Ping", XmlNode("request"),
-        [&](util::Result<XmlNode> response) {
-          EXPECT_EQ(response.status().code(),
-                    util::StatusCode::kUnavailable);
-          ++failed;
-        },
-        /*timeout=*/100 * kMillisecond);
+  std::vector<std::string> inbox;
+  ASSERT_TRUE(network
+                  .Bind("raw",
+                        [&inbox](const Message& message) {
+                          inbox.push_back(message.payload);
+                        })
+                  .ok());
+  obs::Counter* malformed = metrics.GetCounter(
+      obs::WithLabel("pisrep_net_rpc_errors_total", "code", "malformed"));
+  for (proto::WireCodec codec :
+       {proto::WireCodec::kXml, proto::WireCodec::kBinary}) {
+    XmlNode batch("batch");
+    batch.SetAttribute("id", "1");
+    XmlNode& request = batch.AddChild("request");
+    request.SetAttribute("id", "2");
+    request.SetAttribute("method", "Ping");
+    const std::uint64_t failed = server.requests_failed();
+    const std::uint64_t malformed_before = malformed->Value();
+    network.Send("raw", "server", proto::EncodeFrame(batch, codec));
+    loop.RunAll();
+    // Only a frame that is one <request> gets handled and answered.
+    EXPECT_TRUE(inbox.empty());
+    EXPECT_EQ(server.requests_handled(), 0u);
+    EXPECT_EQ(server.requests_failed(), failed + 1);
+    EXPECT_EQ(malformed->Value(), malformed_before + 1);
   }
-  client.FlushBatch();
-  loop.RunAll();
-  EXPECT_EQ(failed, 3);
-  EXPECT_GE(client.retries_sent(), 3u);
 }
 
 TEST(StatusCodeNameTest, RoundTripsThroughWireNames) {

@@ -414,7 +414,7 @@ TEST(SnapshotLoggerTest, DisabledWithoutRegistryOrPeriod) {
   EXPECT_EQ(no_period.snapshots(), 0u);
 }
 
-// --- Codec / batching counters (DESIGN.md §14) ------------------------------
+// --- Codec counter (DESIGN.md §14) ------------------------------------------
 
 TEST(RpcCodecMetricsTest, BinaryAndBatchedCountersTrackTraffic) {
   net::EventLoop loop;
@@ -436,31 +436,17 @@ TEST(RpcCodecMetricsTest, BinaryAndBatchedCountersTrackTraffic) {
 
   Counter* binary =
       registry.GetCounter("pisrep_proto_binary_requests_total");
-  Counter* batched = registry.GetCounter("pisrep_rpc_batched_requests_total");
 
-  // Plain XML call: neither counter moves.
+  // Plain XML call: the counter does not move.
   client.Call("Ping", XmlNode("request"), [](util::Result<XmlNode>) {});
   loop.RunAll();
   EXPECT_EQ(binary->Value(), 0u);
-  EXPECT_EQ(batched->Value(), 0u);
 
   // One binary frame.
   client.set_codec(proto::WireCodec::kBinary);
   client.Call("Ping", XmlNode("request"), [](util::Result<XmlNode>) {});
   loop.RunAll();
   EXPECT_EQ(binary->Value(), 1u);
-  EXPECT_EQ(batched->Value(), 0u);
-
-  // One binary batch frame carrying three members: the frame counts once
-  // as binary, each member once as batched.
-  client.BeginBatch();
-  for (int i = 0; i < 3; ++i) {
-    client.Call("Ping", XmlNode("request"), [](util::Result<XmlNode>) {});
-  }
-  client.FlushBatch();
-  loop.RunAll();
-  EXPECT_EQ(binary->Value(), 2u);
-  EXPECT_EQ(batched->Value(), 3u);
 }
 
 TEST(ServerSnapshotMetricsTest, SnapshotAgeGaugeAndHitCountersAreWired) {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "proto/wire.h"
 #include "server/reputation_server.h"
+#include "server/score_snapshot.h"
 #include "sim/attacks.h"
 #include "storage/database.h"
 #include "util/sha1.h"
@@ -28,6 +32,21 @@ SoftwareMeta TestMeta(const std::string& tag, const std::string& company) {
   meta.company = company;
   meta.version = "1.0";
   return meta;
+}
+
+std::string Render(const SoftwareInfo& info) {
+  return xml::WriteXml(proto::SoftwareInfoToXml(info));
+}
+
+/// What the live stores render for `id` under the server's own settings:
+/// the oracle every snapshot answer must match byte for byte.
+std::string LiveRender(ReputationServer& server, const SoftwareId& id) {
+  SnapshotBuildOptions options;
+  options.max_comments_per_query = server.config().max_comments_per_query;
+  options.behavior_report_threshold =
+      server.config().behavior_report_threshold;
+  return Render(
+      MaterializeTitle(server.registry(), server.votes(), options, id));
 }
 
 /// Fixture with a server on an in-memory database, no puzzles (tested
@@ -631,6 +650,9 @@ TEST_F(ServerTest, SnapshotServesQueriesAfterPublication) {
   EXPECT_NEAR(info->score->score, 7.0, 1e-9);
   ASSERT_EQ(info->comments.size(), 1u);
   EXPECT_EQ(info->comments[0].comment, "fine");
+  // A hit still authenticates first.
+  EXPECT_EQ(server_->QuerySoftware("bogus-session", meta.id).status().code(),
+            util::StatusCode::kUnauthenticated);
 }
 
 TEST_F(ServerTest, MutationForcesSlowPathUntilNextPublication) {
@@ -664,6 +686,85 @@ TEST_F(ServerTest, MutationForcesSlowPathUntilNextPublication) {
   EXPECT_EQ(server_->stats().snapshot_hits, 2u);
 }
 
+TEST_F(ServerTest, EveryContentMutationForcesTheLiveRender) {
+  ReputationServer::Config config = DefaultConfig();
+  config.moderation_enabled = true;
+  Reset(config);
+  std::string s1 = MakeUser("gale");
+  std::string s2 = MakeUser("hugo");
+  SoftwareMeta meta = TestMeta("gate", "Acme");
+  ASSERT_TRUE(server_
+                  ->SubmitRating(s1, meta, 7, "held for review",
+                                 core::kNoBehaviors, 0)
+                  .ok());
+  core::SoftwareScore score;
+  score.software = meta.id;
+  score.score = 6.5;
+  score.vote_count = 2;
+  score.weight_sum = 2.0;
+  score.computed_at = kDay;
+  core::VendorScore vendor;
+  vendor.vendor = meta.company;
+  vendor.score = 6.5;
+  vendor.software_count = 1;
+  vendor.computed_at = kDay;
+
+  // Every mutation that bumps a content generation; after each, the next
+  // query of a published title must miss the snapshot and show the live
+  // stores.
+  const std::vector<std::pair<std::string, std::function<util::Status()>>>
+      mutations = {
+          {"SubmitRating",
+           [&] {
+             return server_->SubmitRating(s2, meta, 3, "", core::kNoBehaviors,
+                                          kDay);
+           }},
+          {"SetApproved", [&] { return server_->moderation().ApproveNext(); }},
+          {"ReportBehaviors",
+           [&] {
+             return server_->registry().ReportBehaviors(
+                 meta.id,
+                 static_cast<core::BehaviorSet>(core::Behavior::kShowsAds));
+           }},
+          {"RegisterSoftware of another title",
+           [&] {
+             return server_->registry().RegisterSoftware(
+                 TestMeta("gate-other", "Acme"));
+           }},
+          {"PutBootstrapPrior",
+           [&] {
+             return server_->registry().PutBootstrapPrior(meta.id, 4.0, 2.0);
+           }},
+          {"PutScore", [&] { return server_->registry().PutScore(score); }},
+          {"PutVendorScore",
+           [&] { return server_->registry().PutVendorScore(vendor); }},
+      };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    server_->PublishSnapshot();
+    ASSERT_TRUE(server_->QuerySoftware(s1, meta.id).ok());
+    const std::uint64_t hits = server_->stats().snapshot_hits;
+    const std::uint64_t misses = server_->stats().snapshot_misses;
+    ASSERT_TRUE(mutate().ok());
+    auto info = server_->QuerySoftware(s1, meta.id);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(server_->stats().snapshot_hits, hits);
+    EXPECT_EQ(server_->stats().snapshot_misses, misses + 1);
+    EXPECT_EQ(Render(*info), LiveRender(*server_, meta.id));
+  }
+
+  // Run reports alone leave the gate armed: after a republish, a query
+  // still hits and reads the run count live.
+  server_->PublishSnapshot();
+  const std::uint64_t misses = server_->stats().snapshot_misses;
+  ASSERT_TRUE(server_->ReportExecutions(s2, meta.id, 3).ok());
+  auto info = server_->QuerySoftware(s1, meta.id);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(server_->stats().snapshot_misses, misses);
+  EXPECT_EQ(info->run_count, 3);
+  EXPECT_EQ(Render(*info), LiveRender(*server_, meta.id));
+}
+
 TEST_F(ServerTest, RunReportsKeepQueriesOnTheSnapshot) {
   std::string s1 = MakeUser("abel");
   std::string s2 = MakeUser("bria");
@@ -676,14 +777,6 @@ TEST_F(ServerTest, RunReportsKeepQueriesOnTheSnapshot) {
   SoftwareId ghost = util::Sha1::Hash("run-only-app");
   ASSERT_TRUE(server_->ReportExecutions(s1, ghost, 2).ok());
   server_->aggregation().RunOnce(kDay);
-
-  // Twin server over the same database with the snapshot path disabled:
-  // the store walk is the oracle.
-  ReputationServer::Config locked_config = DefaultConfig();
-  locked_config.snapshot_reads = false;
-  ReputationServer locked(db_.get(), &loop_, locked_config);
-  auto locked_session = locked.Login("abel", "password", 0);
-  ASSERT_TRUE(locked_session.ok());
 
   // A registered title, a digest known only by its runs at publication,
   // and a digest whose first run comes after it.
@@ -700,33 +793,12 @@ TEST_F(ServerTest, RunReportsKeepQueriesOnTheSnapshot) {
       EXPECT_EQ(server_->stats().snapshot_hits, ++hits);
       EXPECT_EQ(server_->stats().snapshot_misses, 0u);
       EXPECT_EQ(fast->run_count, expected_runs);
-      auto slow = locked.QuerySoftware(*locked_session, id);
-      ASSERT_TRUE(slow.ok());
-      EXPECT_EQ(xml::WriteXml(proto::SoftwareInfoToXml(*fast)),
-                xml::WriteXml(proto::SoftwareInfoToXml(*slow)));
+      EXPECT_EQ(Render(*fast), LiveRender(*server_, id));
     }
   }
 }
 
-TEST_F(ServerTest, SnapshotReadsOffMeansNoSnapshotEverPublished) {
-  ReputationServer::Config config = DefaultConfig();
-  config.snapshot_reads = false;
-  Reset(config);
-  std::string session = MakeUser("vera");
-  SoftwareMeta meta = TestMeta("snap3", "Acme");
-  ASSERT_TRUE(
-      server_->SubmitRating(session, meta, 5, "", core::kNoBehaviors, 0).ok());
-  server_->aggregation().RunOnce(kDay);
-  EXPECT_EQ(server_->CurrentSnapshot(), nullptr);
-  ASSERT_TRUE(server_->QuerySoftware(session, meta.id).ok());
-  EXPECT_EQ(server_->stats().snapshot_hits, 0u);
-  // The lock-free entry point reports unavailability rather than serving
-  // a stale or empty answer.
-  EXPECT_EQ(server_->QuerySoftwareSnapshot(session, meta.id).status().code(),
-            util::StatusCode::kUnavailable);
-}
-
-TEST_F(ServerTest, QuerySoftwareSnapshotMatchesLockedAnswerByteForByte) {
+TEST_F(ServerTest, SnapshotEntryMatchesTheLiveRenderByteForByte) {
   std::string s1 = MakeUser("wade");
   std::string s2 = MakeUser("xena");
   SoftwareMeta meta = TestMeta("snap4", "Initech");
@@ -737,36 +809,12 @@ TEST_F(ServerTest, QuerySoftwareSnapshotMatchesLockedAnswerByteForByte) {
   ASSERT_TRUE(server_->ReportExecutions(s1, meta.id, 3).ok());
   server_->aggregation().RunOnce(kDay);
 
-  // Twin server over the same database with the snapshot path disabled:
-  // the locked store walk is the oracle.
-  ReputationServer::Config locked_config = DefaultConfig();
-  locked_config.snapshot_reads = false;
-  ReputationServer locked(db_.get(), &loop_, locked_config);
-  auto locked_session = locked.Login("wade", "password", 0);
-  ASSERT_TRUE(locked_session.ok());
-
+  std::shared_ptr<const ScoreSnapshot> snapshot = server_->CurrentSnapshot();
+  ASSERT_NE(snapshot, nullptr);
   for (const SoftwareId& id : {meta.id, util::Sha1::Hash("never-seen")}) {
-    auto fast = server_->QuerySoftwareSnapshot(s1, id);
-    auto slow = locked.QuerySoftware(*locked_session, id);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    EXPECT_EQ(xml::WriteXml(proto::SoftwareInfoToXml(*fast)),
-              xml::WriteXml(proto::SoftwareInfoToXml(*slow)));
+    EXPECT_EQ(Render(LookupSnapshotInfo(*snapshot, id)),
+              LiveRender(*server_, id));
   }
-  EXPECT_EQ(server_->snapshot_queries(), 2u);
-}
-
-TEST_F(ServerTest, QuerySoftwareSnapshotStillAuthenticates) {
-  std::string session = MakeUser("yuri");
-  server_->aggregation().RunOnce(kDay);
-  EXPECT_EQ(server_
-                ->QuerySoftwareSnapshot("bogus-session",
-                                        util::Sha1::Hash("app"))
-                .status()
-                .code(),
-            util::StatusCode::kUnauthenticated);
-  EXPECT_TRUE(
-      server_->QuerySoftwareSnapshot(session, util::Sha1::Hash("app")).ok());
 }
 
 TEST_F(ServerTest, RunOnlyDigestsAppearInSnapshot) {

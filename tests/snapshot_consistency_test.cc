@@ -8,9 +8,9 @@
 // mix of two epochs, never a state that was never published.
 //
 // The writer thread drives rounds of (mutate votes -> aggregate ->
-// publish) while reader threads continuously call QuerySoftwareSnapshot
-// on a probe set and check each answer against the per-epoch oracle the
-// writer recorded at publish time. Under ThreadSanitizer this is the
+// publish) while reader threads continuously pin the current snapshot,
+// read a probe's entry from it with LookupSnapshotInfo and check the
+// answer against the per-epoch oracle the writer recorded at publish time. Under ThreadSanitizer this is the
 // workload that makes a mis-fenced publish or a non-atomic swap trip
 // deterministically; under the plain build the oracle check still bites.
 //
@@ -29,6 +29,7 @@
 #include "core/types.h"
 #include "net/event_loop.h"
 #include "server/reputation_server.h"
+#include "server/score_snapshot.h"
 #include "storage/database.h"
 #include "util/clock.h"
 #include "util/sha1.h"
@@ -71,12 +72,6 @@ TEST(SnapshotConsistencyStress, EveryAnswerMatchesSomePublishedEpoch) {
   config.flood.max_votes_per_user_per_day = 0;
   ReputationServer server(db->get(), &loop, config);
 
-  // One account per (round, program) vote so every round's votes are
-  // fresh; sessions are minted up front on the writer thread.
-  ASSERT_TRUE(
-      server.accounts().Register("probe", "password", "p@t.example", 0).ok());
-  auto session = server.Login("probe", "password", 0);
-  ASSERT_TRUE(session.ok());
   for (std::size_t p = 0; p < kPrograms; ++p) {
     ASSERT_TRUE(server.registry().RegisterSoftware(ProbeMeta(p)).ok());
   }
@@ -96,12 +91,11 @@ TEST(SnapshotConsistencyStress, EveryAnswerMatchesSomePublishedEpoch) {
     ASSERT_NE(snapshot, nullptr);
     std::vector<Expected> expected(kPrograms);
     for (std::size_t p = 0; p < kPrograms; ++p) {
-      auto info = server.QuerySoftwareSnapshot(*session, ProbeMeta(p).id);
-      ASSERT_TRUE(info.ok());
-      expected[p].known = info->known;
-      if (info->score.has_value()) {
-        expected[p].score = info->score->score;
-        expected[p].vote_count = info->score->vote_count;
+      SoftwareInfo info = LookupSnapshotInfo(*snapshot, ProbeMeta(p).id);
+      expected[p].known = info.known;
+      if (info.score.has_value()) {
+        expected[p].score = info.score->score;
+        expected[p].vote_count = info.score->vote_count;
       }
     }
     ASSERT_LT(snapshot->epoch, oracle.size());
@@ -129,19 +123,15 @@ TEST(SnapshotConsistencyStress, EveryAnswerMatchesSomePublishedEpoch) {
         if (epoch > ceiling) continue;
         const std::vector<Expected>& expected = oracle[epoch];
         std::size_t p = cursor++ % kPrograms;
-        auto info = server.QuerySoftwareSnapshot(*session, ProbeMeta(p).id);
-        ASSERT_TRUE(info.ok());
-        // Compare against the SAME pinned snapshot, not whatever is
-        // current by now: QuerySoftwareSnapshot may already serve a newer
-        // epoch, so re-pin until both reads agree on the epoch.
-        auto repinned = server.CurrentSnapshot();
-        if (repinned == nullptr || repinned->epoch != epoch) continue;
-        EXPECT_EQ(info->known, expected[p].known)
+        // The pinned snapshot keeps its epoch alive for the whole read,
+        // however many publications the writer makes meanwhile.
+        SoftwareInfo info = LookupSnapshotInfo(*snapshot, ProbeMeta(p).id);
+        EXPECT_EQ(info.known, expected[p].known)
             << "epoch " << epoch << " program " << p;
-        if (info->score.has_value()) {
-          EXPECT_EQ(info->score->score, expected[p].score)
+        if (info.score.has_value()) {
+          EXPECT_EQ(info.score->score, expected[p].score)
               << "epoch " << epoch << " program " << p;
-          EXPECT_EQ(info->score->vote_count, expected[p].vote_count)
+          EXPECT_EQ(info.score->vote_count, expected[p].vote_count)
               << "epoch " << epoch << " program " << p;
         } else {
           EXPECT_EQ(expected[p].vote_count, 0)
@@ -193,19 +183,14 @@ TEST(SnapshotConsistencyStress, EveryAnswerMatchesSomePublishedEpoch) {
 }
 
 TEST(SnapshotConsistencyStress, ConcurrentReadersNeverBlockPublication) {
-  // Readers hammering QuerySoftwareSnapshot while the writer republishes
+  // Readers hammering the published snapshot while the writer republishes
   // back-to-back: publication must always complete (RCU writers never
   // wait for readers) and old epochs must stay alive while pinned.
   auto db = storage::Database::Open("");
   ASSERT_TRUE(db.ok());
   net::EventLoop loop;
   ReputationServer::Config config;
-  config.accounts.require_activation = false;
   ReputationServer server(db->get(), &loop, config);
-  ASSERT_TRUE(
-      server.accounts().Register("ada", "password", "a@t.example", 0).ok());
-  auto session = server.Login("ada", "password", 0);
-  ASSERT_TRUE(session.ok());
   ASSERT_TRUE(server.registry().RegisterSoftware(ProbeMeta(0)).ok());
   server.PublishSnapshot();
 
@@ -216,10 +201,9 @@ TEST(SnapshotConsistencyStress, ConcurrentReadersNeverBlockPublication) {
       while (!done.load(std::memory_order_acquire)) {
         auto pinned = server.CurrentSnapshot();
         ASSERT_NE(pinned, nullptr);
-        auto info = server.QuerySoftwareSnapshot(*session, ProbeMeta(0).id);
-        ASSERT_TRUE(info.ok());
         // The pinned epoch stays readable even if the writer has since
         // published many successors.
+        ASSERT_TRUE(LookupSnapshotInfo(*pinned, ProbeMeta(0).id).known);
         ASSERT_TRUE(pinned->epoch >= 1);
       }
     });
