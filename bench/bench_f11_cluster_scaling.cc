@@ -1,6 +1,6 @@
 // Feature F11: cluster scaling — a fixed routed workload (onboarding,
-// digest-routed votes, scatter-merged vendor reads, per-shard aggregation)
-// replayed against 1 / 2 / 4 / 8 shards behind the Router.
+// digest-routed votes, vendor reads from the router's index, per-shard
+// aggregation) replayed against 1 / 2 / 4 / 8 shards behind the Router.
 //
 // Emits BENCH_cluster.json at the repo root (bench_util.h OutputPath). Self-checking at
 // every size: the N-shard scores must be bit-for-bit the 1-shard scores
@@ -221,12 +221,14 @@ ShardResult RunShardCount(int shards, const Workload& load,
   result.router_redirects = bench.router().redirects_followed();
 
   // Per-shard aggregation: each shard sweeps only its own slice. Vendor
-  // means are built here, so the scatter reads below need this first.
+  // means are built here, so the vendor reads below need this first.
   timer.Reset();
   bench.cluster().RunAggregationAll(30 * util::kDay);
   result.aggregate_micros = timer.ElapsedMicros();
 
-  // Scatter plane: vendor reads merged across every shard.
+  // Vendor-index plane: each read is one hop to a shard that checks the
+  // session, answered from the router's index; the first also waits for
+  // the round that pulls every shard's freshly aggregated vendor table.
   timer.Reset();
   for (int v = 0; v < 5; ++v) {
     XmlNode request("request");

@@ -6,9 +6,10 @@
 // clients only ever see one address.
 //
 // The walk-through covers all three routing planes (digest-routed votes,
-// broadcast account operations, scatter-merged vendor reads), synchronous
-// WAL shipping to the warm backups, decentralized failover with session
-// re-login, and a web portal page merged across the shard fleet.
+// broadcast account operations, vendor scores from the router's merged
+// vendor index), synchronous WAL shipping to the warm backups,
+// decentralized failover with session re-login, and a web portal page
+// merged across the shard fleet.
 //
 // Usage: ./build/examples/cluster_lab [num_users]
 
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
   std::printf("%d/%d program scores survived the failover bit-for-bit\n",
               intact, kPrograms);
 
-  // --- Scatter plane + portal: merged reads across the fleet. -----------
+  // --- Merged reads across the fleet: vendor score and portal. ---------
   auto vendor = cluster->MergedVendorScore("vendor-0");
   if (vendor.ok()) {
     std::printf("\nmerged vendor-0 score %.3f over %d rated programs\n",

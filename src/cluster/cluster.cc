@@ -172,6 +172,23 @@ void ShardNode::InstallClusterMethods() {
           return original(request);
         });
   }
+
+  // Version stamp: QuerySoftware and QueryVendor answers name the vendor
+  // table this shard has published, so the router re-pulls its vendor
+  // index exactly when a table changed (DESIGN.md §11.2).
+  for (const char* stamped : {"QuerySoftware", "QueryVendor"}) {
+    rpc->RegisterMethod(
+        stamped, [this, original = rpc->FindMethod(stamped)](
+                     const XmlNode& request) -> Result<XmlNode> {
+          Result<XmlNode> answer = original(request);
+          if (answer.ok()) {
+            answer->SetAttribute(
+                server::kVendorVersionAttribute,
+                std::to_string(server_->CurrentSnapshot()->vendor_version));
+          }
+          return answer;
+        });
+  }
 }
 
 void ShardNode::InstallResponseGate() {
@@ -397,8 +414,8 @@ Result<core::SoftwareScore> ShardCluster::GetScore(const core::SoftwareId& id) {
 
 Result<core::VendorScore> ShardCluster::MergedVendorScore(
     const core::VendorId& vendor) {
-  // Same arithmetic and same (sorted-shard) order as the router's scatter
-  // merge, so native and RPC reads agree.
+  // Same weighting and same (sorted-shard) order as the router's
+  // vendor-index merge, so native and RPC reads agree to the sixth decimal.
   double weighted_sum = 0.0;
   int total_count = 0;
   util::TimePoint computed_at = 0;

@@ -143,8 +143,9 @@ class ShardNode {
 
  private:
   util::Status StartPrimary();
-  /// Registers ClusterPing and ClusterApplyRemark and wraps every
-  /// digest-routed method in the ownership guard.
+  /// Registers ClusterPing and ClusterApplyRemark, wraps every
+  /// digest-routed method in the ownership guard, and stamps QuerySoftware
+  /// and QueryVendor answers with the published vendor-table version.
   void InstallClusterMethods();
   void InstallResponseGate();
 
@@ -210,8 +211,8 @@ class ShardCluster {
 
   util::Result<core::SoftwareScore> GetScore(const core::SoftwareId& id);
   /// Software-count-weighted merge of the per-shard vendor means, in
-  /// sorted-shard order (deterministic; same arithmetic as the router's
-  /// scatter merge).
+  /// sorted-shard order (deterministic; the router's vendor index merges
+  /// the same way from the shards' %.6f-rendered partials).
   util::Result<core::VendorScore> MergedVendorScore(
       const core::VendorId& vendor);
   std::uint64_t TotalVotesAccepted() const;

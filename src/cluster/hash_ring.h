@@ -63,7 +63,7 @@ class HashRing {
                                         std::size_t n) const;
 
   /// Members in sorted order (the canonical shard enumeration used for
-  /// deterministic scatter-gather merges).
+  /// deterministic merges across shards).
   std::vector<std::string> Members() const;
 
   /// Ring position of a digest: its first 8 bytes, big-endian.

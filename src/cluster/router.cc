@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "proto/wire.h"
+#include "server/score_snapshot.h"
 #include "util/hex.h"
 #include "util/logging.h"
 #include "util/sha1.h"
@@ -91,11 +92,8 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
     // series per deployment regardless of which binary answered.
     binary_requests_metric_ =
         metrics_->GetCounter("pisrep_proto_binary_requests_total");
-    vendor_index_hits_metric_ =
-        metrics_->GetCounter("pisrep_cluster_vendor_index_hits_total");
-    scatter_ms_ = metrics_->GetHistogram(
-        "pisrep_cluster_router_scatter_ms",
-        {10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
+    vendor_index_refreshes_metric_ =
+        metrics_->GetCounter("pisrep_cluster_vendor_index_refreshes_total");
   }
 }
 
@@ -106,7 +104,6 @@ Status Router::Start() {
   PISREP_RETURN_IF_ERROR(network_->Bind(
       config_.service_address,
       [this](const net::Message& m) { HandleMessage(m); }));
-  if (config_.vendor_index_refresh > 0) ScheduleVendorIndexRefresh();
   return Status::Ok();
 }
 
@@ -152,7 +149,11 @@ void Router::HandleMessage(const net::Message& message) {
   if (IsBroadcast(method)) {
     Broadcast(message, request, method, id);
   } else if (method == "QueryVendor") {
-    ScatterVendor(message, request, id);
+    // Any shard can check the session; hashing the vendor name spreads
+    // the checks. The answer comes from the vendor index (ForwardTo).
+    ForwardTo(ring_.OwnerOf(util::Sha1::Hash(
+                  request.ChildText("vendor").value_or(""))),
+              method, request, message.from, id, config_.max_redirects);
   } else if (IsDigestRoutedMethod(method)) {
     RouteByDigest(message, request, method, id);
   } else {
@@ -170,7 +171,7 @@ void Router::Reply(const std::string& client, const std::string& id,
     // everything else (status, body attributes, children, text) passes
     // through verbatim.
     for (const auto& [key, value] : result->attributes()) {
-      if (key == "id") continue;
+      if (key == "id" || key == server::kVendorVersionAttribute) continue;
       response.SetAttribute(key, value);
     }
     response.children() = std::move(result->children());
@@ -256,44 +257,63 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
         }
         if (result.ok() && method == "QuerySoftware") {
           // The owning shard reports the vendor score over its own slice
-          // of the vendor's software; rewrite it with the cluster-wide
-          // merge so a clustered answer matches a single server's.
+          // of the vendor's software; the answer carries the cluster-wide
+          // merge from the vendor index instead, so a clustered answer
+          // matches a single server's.
           const XmlNode* software = result->FindChild("software");
           std::string company =
               software ? software->AttributeOr("company", "") : "";
           if (!company.empty()) {
-            // Fast path: rewrite from the merged vendor index — no
-            // per-query scatter, the index was paid for once per refresh
-            // period. An unknown vendor (fresh, or no round published
-            // yet) falls back to the historical scatter.
-            if (std::optional<XmlNode> vendor = VendorNodeFromIndex(company);
-                vendor.has_value()) {
-              auto& children = result->children();
-              std::erase_if(children, [](const XmlNode& child) {
-                return child.name() == "vendor";
-              });
-              result->AddChild(*std::move(vendor));
-              Reply(client, id, std::move(result));
-              return;
-            }
-            std::string session = request.ChildText("session").value_or("");
-            MergeVendor(
-                session, company,
-                [this, client, id, base = std::move(result)](
-                    Result<XmlNode> merged) mutable {
-                  auto& children = base->children();
-                  std::erase_if(children, [](const XmlNode& child) {
+            std::string stamp =
+                result->AttributeOr(server::kVendorVersionAttribute, "");
+            WithVendorIndex(
+                shard, stamp, company,
+                [this, client, id, company, base = std::move(result)](
+                    const Result<const VendorIndex*>& index) mutable {
+                  std::erase_if(base->children(), [](const XmlNode& child) {
                     return child.name() == "vendor";
                   });
-                  if (merged.ok()) {
-                    if (const XmlNode* vendor = merged->FindChild("vendor")) {
-                      base->AddChild(*vendor);
-                    }
-                  }
+                  const XmlNode* node = index.ok() && *index != nullptr
+                                            ? (*index)->Find(company)
+                                            : nullptr;
+                  if (node != nullptr) base->AddChild(*node);
                   Reply(client, id, std::move(base));
                 });
             return;
           }
+        }
+        if (method == "QueryVendor" &&
+            (result.ok() || result.status().code() == StatusCode::kNotFound) &&
+            request.FindChild("session") != nullptr &&
+            request.FindChild("vendor") != nullptr) {
+          // With both children present the shard accepted the session. Its
+          // own answer covers only its slice of the vendor's software (a
+          // NotFound: it owns none of it, and carries no stamp), so the
+          // answer comes from the vendor index.
+          std::string vendor = request.ChildText("vendor").value_or("");
+          WithVendorIndex(
+              shard,
+              result.ok()
+                  ? result->AttributeOr(server::kVendorVersionAttribute, "")
+                  : "",
+              vendor,
+              [this, client, id, vendor](
+                  const Result<const VendorIndex*>& index) {
+                const XmlNode* node = index.ok() && *index != nullptr
+                                          ? (*index)->Find(vendor)
+                                          : nullptr;
+                if (!index.ok()) {
+                  ReplyError(client, id, index.status());
+                } else if (node == nullptr) {
+                  ReplyError(client, id,
+                             Status::NotFound("no such vendor: " + vendor));
+                } else {
+                  XmlNode answer("result");
+                  answer.AddChild(*node);
+                  Reply(client, id, std::move(answer));
+                }
+              });
+          return;
         }
         Reply(client, id, std::move(result));
       },
@@ -433,197 +453,133 @@ void Router::FinishBroadcastOp(const std::shared_ptr<BroadcastOp>& op) {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter plane
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Accumulator shared by a vendor scatter's legs.
-struct VendorScatter {
-  std::vector<std::optional<Result<XmlNode>>> results;
-  int pending = 0;
-  util::TimePoint started = 0;
-  std::function<void(Result<XmlNode>)> done;
-};
-}  // namespace
-
-void Router::MergeVendor(const std::string& session,
-                         const std::string& vendor,
-                         std::function<void(Result<XmlNode>)> done) {
-  std::vector<std::string> members = ring_.Members();
-  auto scatter = std::make_shared<VendorScatter>();
-  scatter->results.resize(members.size());
-  scatter->pending = static_cast<int>(members.size());
-  scatter->started = loop_->Now();
-  scatter->done = std::move(done);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    XmlNode params("r");
-    params.AddTextChild("session", session);
-    params.AddTextChild("vendor", vendor);
-    if (obs::Counter* counter = ShardRequestCounter(members[i])) {
-      counter->Increment();
-    }
-    rpc_.CallTo(
-        members[i], "QueryVendor", std::move(params),
-        [this, scatter, vendor, i](Result<XmlNode> result) {
-          scatter->results[i] = std::move(result);
-          if (--scatter->pending > 0) return;
-          if (scatter_ms_) {
-            scatter_ms_->Observe(
-                static_cast<double>(loop_->Now() - scatter->started) /
-                static_cast<double>(util::kMillisecond));
-          }
-          // Deterministic merge in sorted-shard order: a vendor's cluster
-          // score is the software-count-weighted mean of the per-shard
-          // means. NotFound legs own none of the vendor's software and
-          // contribute nothing; any other failure wins (lowest shard
-          // first) so the caller can retry.
-          double weighted = 0.0;
-          std::int64_t total = 0;
-          for (const auto& leg : scatter->results) {
-            if (!leg.has_value()) continue;
-            if (!leg->ok()) {
-              if (leg->status().code() == StatusCode::kNotFound) continue;
-              scatter->done(leg->status());
-              return;
-            }
-            const XmlNode* node = (*leg)->FindChild("vendor");
-            if (node == nullptr) continue;
-            auto score = util::ParseDouble(node->AttributeOr("score", "0"));
-            auto count = util::ParseInt64(node->AttributeOr("count", "0"));
-            if (!score.ok() || !count.ok() || *count <= 0) continue;
-            weighted += *score * static_cast<double>(*count);
-            total += *count;
-          }
-          if (total == 0) {
-            scatter->done(Status::NotFound("no such vendor: " + vendor));
-            return;
-          }
-          XmlNode merged("result");
-          XmlNode& node = merged.AddChild("vendor");
-          node.SetAttribute("name", vendor);
-          node.SetAttribute(
-              "score",
-              util::StrFormat("%.6f",
-                              weighted / static_cast<double>(total)));
-          node.SetAttribute("count", std::to_string(total));
-          scatter->done(std::move(merged));
-        },
-        config_.call_timeout);
-  }
-}
-
-void Router::ScatterVendor(const net::Message& message,
-                           const XmlNode& request, const std::string& id) {
-  std::string session = request.ChildText("session").value_or("");
-  std::string vendor = request.ChildText("vendor").value_or("");
-  MergeVendor(session, vendor,
-              [this, client = message.from, id](Result<XmlNode> merged) {
-                Reply(client, id, std::move(merged));
-              });
-}
-
-// ---------------------------------------------------------------------------
 // Vendor-index plane
 // ---------------------------------------------------------------------------
 
-std::optional<XmlNode> Router::VendorNodeFromIndex(
-    const std::string& vendor) {
-  std::shared_ptr<const VendorIndex> index =
-      vendor_index_.Load();
-  if (index == nullptr) {
-    // No complete round published yet: that is a scatter fallback too.
-    ++vendor_index_misses_;
-    return std::nullopt;
+bool Router::CoversRing(const VendorIndex& index) const {
+  if (index.members.size() != ring_.size()) return false;
+  for (const std::string& member : index.members) {
+    if (!ring_.Contains(member)) return false;
   }
-  auto it = index->by_name.find(vendor);
-  if (it == index->by_name.end()) {
-    ++vendor_index_misses_;
-    return std::nullopt;
-  }
-  ++vendor_index_hits_;
-  if (vendor_index_hits_metric_) vendor_index_hits_metric_->Increment();
-  // Byte-identical to MergeVendor's merged node, pinned by cluster_test:
-  // the rewrite must not betray which path produced it.
-  XmlNode node("vendor");
-  node.SetAttribute("name", it->second.vendor);
-  node.SetAttribute("score", util::StrFormat("%.6f", it->second.score));
-  node.SetAttribute("count", std::to_string(it->second.software_count));
-  return node;
+  return true;
 }
 
-namespace {
-/// Accumulator shared by one vendor-index refresh round's legs.
-struct IndexScatter {
-  std::vector<std::optional<Result<XmlNode>>> results;
-  int pending = 0;
-};
-}  // namespace
-
-void Router::RefreshVendorIndex() {
-  std::vector<std::string> members = ring_.Members();
-  if (members.empty()) return;
-  auto scatter = std::make_shared<IndexScatter>();
-  scatter->results.resize(members.size());
-  scatter->pending = static_cast<int>(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
+void Router::WithVendorIndex(const std::string& shard,
+                             const std::string& stamp,
+                             const std::string& vendor, IndexWaiter done) {
+  if (vendor_round_ == nullptr && IndexIsCurrent(shard, stamp, vendor)) {
+    done(vendor_index_.get());
+    return;
+  }
+  // Every reply that needs the index during a round waits for that round.
+  if (vendor_round_ != nullptr) {
+    vendor_round_->waiters.push_back(std::move(done));
+    return;
+  }
+  if (ring_.empty()) {
+    done(Status::Unavailable("cluster has no shards"));
+    return;
+  }
+  auto round = std::make_shared<VendorRound>();
+  round->members = ring_.Members();
+  round->legs.resize(round->members.size());
+  round->pending = static_cast<int>(round->members.size());
+  round->waiters.push_back(std::move(done));
+  vendor_round_ = round;
+  // Every member, not only the one whose stamp changed: shards publish on
+  // the same daily schedule, and one round keeps an answer from merging
+  // one shard's new table with another's old one.
+  for (std::size_t i = 0; i < round->members.size(); ++i) {
+    if (obs::Counter* counter = ShardRequestCounter(round->members[i])) {
+      counter->Increment();
+    }
     rpc_.CallTo(
-        members[i], "QueryVendorIndex", XmlNode("r"),
-        [this, scatter, i, alive = std::weak_ptr<int>(alive_)](
-            Result<XmlNode> result) {
-          if (alive.expired()) return;
-          scatter->results[i] = std::move(result);
-          if (--scatter->pending > 0) return;
-          // Publish only a complete round: a partial index would misstate
-          // every vendor whose software the missing shard owns (the merge
-          // weights by per-shard counts). Until a round completes, the
-          // previous index keeps serving — vendors merely go stale, never
-          // wrong-by-omission.
-          VendorIndex merged;
-          std::unordered_map<std::string, double> weighted;
-          for (const auto& leg : scatter->results) {
-            if (!leg.has_value() || !leg->ok()) {
-              PISREP_LOG(kWarning)
-                  << "router: vendor-index refresh leg failed ("
-                  << (leg.has_value() ? leg->status().ToString()
-                                      : "no result")
-                  << "); keeping previous index";
-              return;
-            }
-            for (const XmlNode& child : (*leg)->children()) {
-              if (child.name() != "vendor") continue;
-              auto score = util::ParseDouble(child.AttributeOr("score", "0"));
-              auto count = util::ParseInt64(child.AttributeOr("count", "0"));
-              auto at =
-                  util::ParseInt64(child.AttributeOr("computed_at", "0"));
-              if (!score.ok() || !count.ok() || *count <= 0) continue;
-              std::string name = child.AttributeOr("name", "");
-              if (name.empty()) continue;
-              core::VendorScore& entry = merged.by_name[name];
-              entry.vendor = name;
-              entry.software_count += static_cast<int>(*count);
-              if (at.ok() && *at > entry.computed_at) entry.computed_at = *at;
-              weighted[name] += *score * static_cast<double>(*count);
-            }
-          }
-          for (auto& [name, entry] : merged.by_name) {
-            entry.score =
-                weighted[name] / static_cast<double>(entry.software_count);
-          }
-          vendor_index_.Store(
-              std::make_shared<const VendorIndex>(std::move(merged)));
-          ++vendor_index_refreshes_;
+        round->members[i], "QueryVendorIndex", XmlNode("r"),
+        [this, round, i](Result<XmlNode> result) {
+          round->legs[i] = std::move(result);
+          if (--round->pending == 0) FinishVendorRound(*round);
         },
         config_.call_timeout);
   }
 }
 
-void Router::ScheduleVendorIndexRefresh() {
-  RefreshVendorIndex();
-  loop_->ScheduleAfter(config_.vendor_index_refresh,
-                       [this, alive = std::weak_ptr<int>(alive_)] {
-                         if (alive.expired()) return;
-                         ScheduleVendorIndexRefresh();
-                       });
+bool Router::IndexIsCurrent(const std::string& shard, const std::string& stamp,
+                            const std::string& vendor) const {
+  if (vendor_index_ == nullptr || !CoversRing(*vendor_index_)) return false;
+  if (stamp.empty()) {
+    // Without a stamp the shard's table may have changed unseen; only a
+    // vendor the index does not know is worth a round to look for.
+    return vendor_index_->Find(vendor) != nullptr;
+  }
+  for (std::size_t i = 0; i < vendor_index_->members.size(); ++i) {
+    if (vendor_index_->members[i] == shard) {
+      return vendor_index_->versions[i] == stamp;
+    }
+  }
+  return false;
+}
+
+void Router::FinishVendorRound(VendorRound& round) {
+  // Publish only a complete round: a partial merge would misstate every
+  // vendor whose software the missing shard owns (the merge weights by
+  // per-shard counts). A failed round leaves the index, and with it the
+  // recorded versions, as they were, so a later reply retries.
+  Status failure = Status::Ok();
+  for (const auto& leg : round.legs) {
+    if (!leg->ok()) {
+      failure = leg->status();
+      break;
+    }
+  }
+  if (failure.ok()) {
+    // The shards' %.6f partials weighted by count and summed in ring-member
+    // order, as ShardCluster::MergedVendorScore sums the unrounded ones.
+    auto index = std::make_unique<VendorIndex>();
+    index->members = round.members;
+    std::unordered_map<std::string, std::pair<double, std::int64_t>> sums;
+    for (const auto& leg : round.legs) {
+      index->versions.push_back(
+          (*leg)->AttributeOr(server::kVendorVersionAttribute, ""));
+      for (const XmlNode& row : (*leg)->children()) {
+        auto score = util::ParseDouble(row.AttributeOr("score", "0"));
+        auto count = util::ParseInt64(row.AttributeOr("count", "0"));
+        std::string name = row.AttributeOr("name", "");
+        if (!score.ok() || !count.ok() || *count <= 0 || name.empty()) {
+          continue;
+        }
+        auto& [weighted, total] = sums[name];
+        weighted += *score * static_cast<double>(*count);
+        total += *count;
+      }
+    }
+    for (const auto& [name, sum] : sums) {
+      const auto& [weighted, total] = sum;
+      const double mean = weighted / static_cast<double>(total);
+      XmlNode node("vendor");
+      node.SetAttribute("name", name);
+      node.SetAttribute("score", util::StrFormat("%.6f", mean));
+      node.SetAttribute("count", std::to_string(total));
+      index->vendors.emplace(name, std::move(node));
+    }
+    vendor_index_ = std::move(index);
+    ++vendor_index_refreshes_;
+    if (vendor_index_refreshes_metric_ != nullptr) {
+      vendor_index_refreshes_metric_->Increment();
+    }
+  } else {
+    PISREP_LOG(kWarning) << "router: vendor-index round failed ("
+                         << failure.ToString() << ")";
+  }
+  // The waiting replies get this round's index, or after a failure the
+  // previous one while it still covers the ring; otherwise the failure,
+  // and a QuerySoftware answer then carries no vendor node.
+  Result<const VendorIndex*> answer =
+      failure.ok() || (vendor_index_ != nullptr && CoversRing(*vendor_index_))
+          ? Result<const VendorIndex*>(vendor_index_.get())
+          : Result<const VendorIndex*>(failure);
+  std::vector<IndexWaiter> waiters = std::move(round.waiters);
+  vendor_round_.reset();
+  for (const IndexWaiter& waiter : waiters) waiter(answer);
 }
 
 }  // namespace pisrep::cluster

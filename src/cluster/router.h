@@ -1,7 +1,6 @@
 #ifndef PISREP_CLUSTER_ROUTER_H_
 #define PISREP_CLUSTER_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -17,14 +16,13 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "proto/binary_codec.h"
-#include "util/atomic_shared_ptr.h"
 #include "util/random.h"
 #include "util/status.h"
 
 namespace pisrep::cluster {
 
 /// True for the methods routed by software digest (the rest are account
-/// broadcasts, scatters, or cluster-internal).
+/// broadcasts, QueryVendor, or cluster-internal).
 bool IsDigestRoutedMethod(const std::string& method);
 
 /// The software digest a digest-routed request routes on; failure when the
@@ -40,7 +38,8 @@ struct RouterConfig {
   /// would to a single server ("server" in the sim).
   std::string service_address = "server";
   int vnodes_per_shard = 64;
-  /// Per-forwarded-call RPC timeout.
+  /// Per-forwarded-call RPC timeout; also bounds each leg of a
+  /// vendor-index round, and so how long a reply waits for one.
   util::Duration call_timeout = 5 * util::kSecond;
   /// A broadcast leg to an unreachable shard is retried this many times
   /// (deferred retry: it holds that shard's pipeline, never the others) —
@@ -51,14 +50,6 @@ struct RouterConfig {
   int max_redirects = 3;
   /// Seed for the router's puzzle-nonce stream.
   std::uint64_t nonce_seed = 0x9047e5;
-  /// Period of the vendor-index refresh. 0 keeps the historical per-query
-  /// QueryVendor scatter for QuerySoftware vendor-score rewrites; > 0
-  /// pulls each shard's snapshot-published vendor aggregates
-  /// (QueryVendorIndex) every period, merges them into an immutable index
-  /// published by one atomic pointer swap, and rewrites vendor scores from
-  /// that index with no per-query fan-out. Vendors absent from the index
-  /// (fresh vendor, shard mid-restart) fall back to the scatter.
-  util::Duration vendor_index_refresh = 0;
 };
 
 /// The client-facing front door of the cluster (and, pointed at by a
@@ -79,11 +70,12 @@ struct RouterConfig {
 ///    observes the same account operations in the same global order, so
 ///    account state converges on all shards. A downed shard defers its
 ///    pipeline (bounded retries), it never blocks the others.
-///  - scatter plane (QueryVendor): fanned out to all shards and merged
-///    deterministically in sorted-shard order (vendor scores are weighted
-///    by per-shard software counts). QuerySoftware responses get their
-///    embedded vendor score rewritten from the same merge, so a clustered
-///    query is indistinguishable from a single-server one.
+///  - vendor-index plane: the vendor scores in QuerySoftware and
+///    QueryVendor answers come from one index merged from every shard's
+///    published vendor table, so a routed lookup costs one upstream call.
+///    The index is re-pulled from every shard in one round when a shard's
+///    version stamp or the membership changes, before the reply that
+///    revealed the change is answered.
 ///
 /// SubmitRemark is a hybrid: the remark itself lives with the software
 /// owner (which validates it), and on success the trust-factor side effect
@@ -116,17 +108,10 @@ class Router {
 
   std::uint64_t requests() const { return requests_; }
   std::uint64_t redirects_followed() const { return redirects_followed_; }
-  /// Vendor rewrites answered from the merged index (no scatter) vs.
-  /// rewrites that fell back to the per-query scatter.
-  std::uint64_t vendor_index_hits() const { return vendor_index_hits_; }
-  std::uint64_t vendor_index_misses() const { return vendor_index_misses_; }
-  /// Completed vendor-index refresh rounds (all shards answered).
+  /// Completed vendor-index rounds (every shard answered).
   std::uint64_t vendor_index_refreshes() const {
     return vendor_index_refreshes_;
   }
-  /// Forces one vendor-index refresh round now (tests; normally the
-  /// periodic schedule drives this). No-op while the ring is empty.
-  void RefreshVendorIndexNow() { RefreshVendorIndex(); }
 
  private:
   /// One client-visible broadcast operation, fanned into N pipeline legs.
@@ -156,13 +141,35 @@ class Router {
     bool busy = false;
   };
 
-  /// Cluster-wide per-vendor aggregates, merged from every shard's
-  /// snapshot-published vendor scores. Immutable once published: readers
-  /// pin a version with one acquire load; the refresher swaps in a whole
-  /// new table with one release store (RCU — same discipline as the
-  /// server-side ScoreSnapshot, so the rewrite path takes no lock).
+  /// Cluster-wide vendor scores merged from one complete round of every
+  /// member's published vendor table. Immutable once published: a reply
+  /// answers from the index it was handed, and a round replaces the whole
+  /// index.
   struct VendorIndex {
-    std::unordered_map<std::string, core::VendorScore> by_name;
+    /// The members the round pulled (ring order) and the table version
+    /// each one reported.
+    std::vector<std::string> members;
+    std::vector<std::string> versions;
+    /// Vendor name → the merged <vendor name score count/> node.
+    std::unordered_map<std::string, xml::XmlNode> vendors;
+
+    /// The merged node for `vendor`, or null.
+    const xml::XmlNode* Find(const std::string& vendor) const {
+      auto it = vendors.find(vendor);
+      return it == vendors.end() ? nullptr : &it->second;
+    }
+  };
+  /// The index a waiting reply answers from: the round's, the previous
+  /// one after a failed round when it still covers the ring (null when
+  /// none was ever built), or the failed leg's status.
+  using IndexWaiter =
+      std::function<void(const util::Result<const VendorIndex*>&)>;
+  /// A QueryVendorIndex round in flight and the replies waiting for it.
+  struct VendorRound {
+    std::vector<std::string> members;
+    std::vector<std::optional<util::Result<xml::XmlNode>>> legs;
+    int pending = 0;
+    std::vector<IndexWaiter> waiters;
   };
 
   void HandleMessage(const net::Message& message);
@@ -187,21 +194,18 @@ class Router {
   void IssueHead(const std::string& shard);
   void FinishBroadcastOp(const std::shared_ptr<BroadcastOp>& op);
 
-  /// Scatter plane.
-  void ScatterVendor(const net::Message& message, const xml::XmlNode& request,
-                     const std::string& id);
-  /// Fans QueryVendor(`vendor`) to all shards and hands the deterministic
-  /// merge (or NotFound) to `done`.
-  void MergeVendor(const std::string& session, const std::string& vendor,
-                   std::function<void(util::Result<xml::XmlNode>)> done);
-
-  /// Vendor-index plane: one refresh round (scatter QueryVendorIndex to
-  /// all shards; publish the merged index only if every leg answered).
-  void RefreshVendorIndex();
-  void ScheduleVendorIndexRefresh();
-  /// The merged vendor node for `vendor`, or nullopt when the index has
-  /// no round published yet or does not know the vendor (scatter fallback).
-  std::optional<xml::XmlNode> VendorNodeFromIndex(const std::string& vendor);
+  /// Vendor-index plane. Hands `done` the index a reply from `shard`,
+  /// stamped `stamp` (empty: the shard's NotFound carried none), answers
+  /// from: at once when no round is in flight and the index is current,
+  /// otherwise after the round in flight, starting one if none is.
+  void WithVendorIndex(const std::string& shard, const std::string& stamp,
+                       const std::string& vendor, IndexWaiter done);
+  /// True when the index covers the ring and `stamp` is the version it
+  /// recorded for `shard` (without a stamp: when it knows `vendor`).
+  bool IndexIsCurrent(const std::string& shard, const std::string& stamp,
+                      const std::string& vendor) const;
+  bool CoversRing(const VendorIndex& index) const;
+  void FinishVendorRound(VendorRound& round);
 
   obs::Counter* ShardRequestCounter(const std::string& shard);
 
@@ -216,12 +220,12 @@ class Router {
 
   std::uint64_t requests_ = 0;
   std::uint64_t redirects_followed_ = 0;
-  std::uint64_t vendor_index_hits_ = 0;
-  std::uint64_t vendor_index_misses_ = 0;
   std::uint64_t vendor_index_refreshes_ = 0;
 
-  /// Published merged index (null until the first complete refresh round).
-  util::AtomicSharedPtr<const VendorIndex> vendor_index_;
+  /// The merged index (null until the first complete round) and the round
+  /// in flight (null when none is; at most one at a time).
+  std::unique_ptr<const VendorIndex> vendor_index_;
+  std::shared_ptr<VendorRound> vendor_round_;
   /// The codec each client last spoke; replies go back in kind. XML when
   /// a client has never been seen (defensive — every reply follows a
   /// request, which records the codec first).
@@ -233,8 +237,7 @@ class Router {
   obs::Counter* ownership_moved_metric_ = nullptr;
   obs::Counter* effect_failures_metric_ = nullptr;
   obs::Counter* binary_requests_metric_ = nullptr;
-  obs::Counter* vendor_index_hits_metric_ = nullptr;
-  obs::Histogram* scatter_ms_ = nullptr;
+  obs::Counter* vendor_index_refreshes_metric_ = nullptr;
 };
 
 }  // namespace pisrep::cluster

@@ -1,6 +1,5 @@
 #include "server/reputation_server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/hex.h"
@@ -778,37 +777,21 @@ void ReputationServer::RegisterRpcMethods() {
       });
 
   // Cluster-internal: the router pulls every vendor aggregate this shard
-  // has published so it can rewrite vendor scores locally instead of
-  // scattering per query. Unauthenticated like the replication-plane
-  // methods — the payload is exactly the aggregates QueryVendor already
-  // serves, with no per-user data. Vendors are emitted sorted by name so
-  // the response bytes are deterministic regardless of map iteration
-  // order (pinned by cluster_test).
+  // has published, with the table's version, and merges them into its
+  // vendor index. Unauthenticated like the replication-plane methods —
+  // the payload is exactly the aggregates QueryVendor already serves,
+  // with no per-user data. The snapshot keeps the rows sorted by name, so
+  // the response bytes are deterministic.
   rpc_->RegisterMethod(
       "QueryVendorIndex", [this](const XmlNode&) -> Result<XmlNode> {
         std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
-        if (snapshot == nullptr) {
-          return Status::Unavailable("no score snapshot published");
-        }
-        std::vector<const core::VendorScore*> vendors;
-        vendors.reserve(snapshot->by_vendor.size());
-        for (const auto& [id, score] : snapshot->by_vendor) {
-          vendors.push_back(&score);
-        }
-        std::sort(vendors.begin(), vendors.end(),
-                  [](const core::VendorScore* a, const core::VendorScore* b) {
-                    return a->vendor < b->vendor;
-                  });
+        PISREP_CHECK(snapshot != nullptr)
+            << "the constructor publishes the first snapshot";
         XmlNode result("result");
-        result.SetAttribute("epoch", std::to_string(snapshot->epoch));
-        for (const core::VendorScore* score : vendors) {
-          XmlNode& node = result.AddChild("vendor");
-          node.SetAttribute("name", score->vendor);
-          node.SetAttribute("score", util::StrFormat("%.6f", score->score));
-          node.SetAttribute("count",
-                            std::to_string(score->software_count));
-          node.SetAttribute("computed_at",
-                            std::to_string(score->computed_at));
+        result.SetAttribute(kVendorVersionAttribute,
+                            std::to_string(snapshot->vendor_version));
+        for (const core::VendorScore& vendor : snapshot->vendors) {
+          result.AddChild(VendorIndexRow(vendor));
         }
         return result;
       });

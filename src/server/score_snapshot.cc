@@ -1,8 +1,12 @@
 #include "server/score_snapshot.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
+#include "util/sha1.h"
+#include "util/string_util.h"
+#include "xml/xml_writer.h"
 
 namespace pisrep::server {
 
@@ -16,6 +20,15 @@ proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
   info.meta.id = id;
   info.known = false;
   return info;
+}
+
+xml::XmlNode VendorIndexRow(const core::VendorScore& vendor) {
+  xml::XmlNode row("vendor");
+  row.SetAttribute("name", vendor.vendor);
+  row.SetAttribute("score", util::StrFormat("%.6f", vendor.score));
+  row.SetAttribute("count", std::to_string(vendor.software_count));
+  row.SetAttribute("computed_at", std::to_string(vendor.computed_at));
+  return row;
 }
 
 proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
@@ -80,8 +93,19 @@ std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     snapshot->by_software.emplace(id, std::move(info));
   }
 
-  for (const core::VendorScore& vendor : registry.AllVendorScores()) {
-    snapshot->by_vendor.emplace(vendor.vendor, vendor);
+  snapshot->vendors = registry.AllVendorScores();
+  std::sort(snapshot->vendors.begin(), snapshot->vendors.end(),
+            [](const core::VendorScore& a, const core::VendorScore& b) {
+              return a.vendor < b.vendor;
+            });
+  util::Sha1 hash;
+  for (const core::VendorScore& vendor : snapshot->vendors) {
+    hash.Update(xml::WriteXml(VendorIndexRow(vendor)));
+  }
+  const util::Sha1Digest digest = hash.Finish();
+  for (std::size_t i = 0; i < sizeof(snapshot->vendor_version); ++i) {
+    snapshot->vendor_version =
+        (snapshot->vendor_version << 8) | digest.bytes[i];
   }
   return snapshot;
 }

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "core/types.h"
 #include "proto/wire.h"
@@ -11,6 +13,7 @@
 #include "server/vote_store.h"
 #include "util/atomic_shared_ptr.h"
 #include "util/clock.h"
+#include "xml/xml_node.h"
 
 namespace pisrep::server {
 
@@ -43,10 +46,23 @@ struct ScoreSnapshot {
   std::unordered_map<core::SoftwareId, proto::SoftwareInfo,
                      core::SoftwareIdHash>
       by_software;
-  /// Vendor → aggregate score: the vendor index the cluster router's
-  /// QuerySoftware vendor-rewrite and QueryVendor serve from.
-  std::unordered_map<core::VendorId, core::VendorScore> by_vendor;
+  /// Every vendor's aggregate score, sorted by name: the table
+  /// QueryVendorIndex serves to the cluster router.
+  std::vector<core::VendorScore> vendors;
+  /// Content hash of `vendors` as QueryVendorIndex renders them. Unlike
+  /// the epoch, which restarts at 1 in every new primary at an address,
+  /// it survives a failover onto an identical table (DESIGN.md §11.2).
+  std::uint64_t vendor_version = 0;
 };
+
+/// Attribute carrying vendor_version (decimal) on QueryVendorIndex answers
+/// and on a cluster shard's QuerySoftware and QueryVendor answers; the
+/// router strips it before replying to a client.
+inline constexpr std::string_view kVendorVersionAttribute = "vendor_version";
+
+/// One row of QueryVendorIndex's answer: <vendor name score count
+/// computed_at/>, the score as %.6f.
+xml::XmlNode VendorIndexRow(const core::VendorScore& vendor);
 
 /// The answer the snapshot gives for `id` — identical in shape to
 /// MaterializeTitle's: a full entry when the digest is known, otherwise an

@@ -699,7 +699,7 @@ TEST(ClusterEquivalence, ShardedScoresMatchTheSingleServerOracle) {
   }
 }
 
-TEST(ClusterEquivalence, ScatteredVendorQueryMatchesTheNativeMerge) {
+TEST(ClusterEquivalence, RoutedVendorQueryMatchesTheNativeMerge) {
   Harness h(3);
   RunScriptedWorkload(h);
   std::string session = h.Onboard("vendor-reader");
@@ -1337,7 +1337,7 @@ TEST(ClusterTuning, PerShardSweepCadenceIsHonored) {
 }
 
 // ---------------------------------------------------------------------------
-// Router fast paths: vendor index, binary codec, batched frames
+// Router fast paths: vendor index, binary codec, stray frames
 // ---------------------------------------------------------------------------
 
 /// Serialized response with the per-client envelope id neutralized, so
@@ -1356,30 +1356,263 @@ Result<XmlNode> QueryProgram(Harness& h, const std::string& session, int i) {
   return h.Call("QuerySoftware", std::move(request));
 }
 
-TEST(ClusterVendorIndex, IndexRewriteMatchesTheScatterByteForByte) {
-  Harness h(3);
+/// Upstream calls the router has made to each current shard so far.
+std::vector<std::uint64_t> UpstreamCalls(Harness& h,
+                                         obs::MetricsRegistry& metrics) {
+  std::vector<std::uint64_t> calls;
+  for (int s = 0; s < h.cluster()->num_shards(); ++s) {
+    calls.push_back(metrics
+                        .GetCounter(obs::WithLabel(
+                            "pisrep_cluster_router_requests_total", "shard",
+                            h.cluster()->ShardName(s)))
+                        ->Value());
+  }
+  return calls;
+}
+
+std::uint64_t TotalUpstreamCalls(Harness& h, obs::MetricsRegistry& metrics) {
+  std::uint64_t total = 0;
+  for (std::uint64_t calls : UpstreamCalls(h, metrics)) total += calls;
+  return total;
+}
+
+/// MergedVendorScore rendered the way a routed answer carries it; empty
+/// when no shard scores the vendor (the answer then has no vendor node).
+std::string NativeVendorNode(Harness& h, const std::string& vendor) {
+  auto merged = h.cluster()->MergedVendorScore(vendor);
+  if (!merged.ok()) return "";
+  XmlNode node("vendor");
+  node.SetAttribute("name", merged->vendor);
+  node.SetAttribute("score", StrFormat("%.6f", merged->score));
+  node.SetAttribute("count", std::to_string(merged->software_count));
+  return xml::WriteXml(node);
+}
+
+/// Checks a routed answer's vendor node against MergedVendorScore: same
+/// name and count, and the score within one unit of the sixth decimal,
+/// since the router merges the shards' %.6f-rendered partials.
+void ExpectNativeVendor(Harness& h, const XmlNode& answer,
+                        const std::string& vendor, const std::string& label) {
+  auto merged = h.cluster()->MergedVendorScore(vendor);
+  ASSERT_TRUE(merged.ok()) << label << ": " << merged.status().ToString();
+  const XmlNode* node = answer.FindChild("vendor");
+  ASSERT_NE(node, nullptr) << label;
+  EXPECT_EQ(node->AttributeOr("name", ""), vendor) << label;
+  EXPECT_EQ(node->AttributeOr("count", ""),
+            std::to_string(merged->software_count))
+      << label;
+  auto score = util::ParseDouble(node->AttributeOr("score", ""));
+  ASSERT_TRUE(score.ok()) << label;
+  EXPECT_NEAR(*score, merged->score, 1.5e-6) << label;
+}
+
+/// The serialized <vendor> node of a routed answer, empty when it has none.
+std::string VendorNodeOf(const XmlNode& answer) {
+  const XmlNode* node = answer.FindChild("vendor");
+  return node != nullptr ? xml::WriteXml(*node) : "";
+}
+
+/// Logs `user` in again (sessions die with a primary) and returns the
+/// session, which deterministic tokens keep unchanged.
+std::string Relogin(Harness& h, const std::string& user) {
+  XmlNode login("request");
+  login.AddTextChild("username", user);
+  login.AddTextChild("password", "pw-" + user);
+  auto session = h.Call("Login", std::move(login));
+  PISREP_CHECK(session.ok()) << session.status().ToString();
+  return session->ChildText("session").value_or("");
+}
+
+/// Index of the shard owning program `i`.
+int OwnerIndex(Harness& h, int i) {
+  int owner = 0;
+  while (h.cluster()->ShardName(owner) !=
+         h.cluster()->ring().OwnerOf(ProgramMeta(i).id)) {
+    ++owner;
+  }
+  return owner;
+}
+
+TEST(ClusterVendorIndex, RoutedVendorMatchesTheNativeMerge) {
+  obs::MetricsRegistry metrics;
+  Harness h(3, /*gossip_period=*/0, &metrics);
   RunScriptedWorkload(h);
   std::string session = h.Onboard("index-reader");
+  // The workload's own query built the index before its aggregation, which
+  // changed every shard's table: the first query below pulls once more.
+  const std::uint64_t rounds = h.router()->vendor_index_refreshes();
+  EXPECT_EQ(rounds, 1u);
+  for (int i = 0; i < kPrograms; ++i) {
+    const std::uint64_t before = TotalUpstreamCalls(h, metrics);
+    auto answer = QueryProgram(h, session, i);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    const std::string native = NativeVendorNode(h, ProgramMeta(i).company);
+    ASSERT_FALSE(native.empty()) << "program " << i;
+    EXPECT_EQ(VendorNodeOf(*answer), native) << "program " << i;
+    // The shard's version stamp never reaches a client.
+    EXPECT_FALSE(answer->HasAttribute("vendor_version")) << "program " << i;
+    if (i > 0) {
+      EXPECT_EQ(TotalUpstreamCalls(h, metrics) - before, 1u)
+          << "program " << i;
+    }
+  }
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds + 1);
+}
 
-  // Before any refresh the rewrite falls back to the per-query scatter.
-  auto scattered = QueryProgram(h, session, 0);
-  ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
-  const XmlNode* scatter_vendor = scattered->FindChild("vendor");
-  ASSERT_NE(scatter_vendor, nullptr);
-  EXPECT_EQ(h.router()->vendor_index_hits(), 0u);
-  EXPECT_GT(h.router()->vendor_index_misses(), 0u);
+TEST(ClusterVendorIndex, ChangedTableIsPulledBeforeTheReply) {
+  obs::MetricsRegistry metrics;
+  Harness h(3, /*gossip_period=*/0, &metrics);
+  RunScriptedWorkload(h);
+  std::string session = h.Onboard("late-rater");
+  ASSERT_TRUE(QueryProgram(h, session, 0).ok());  // the index is current
+  const std::string company = ProgramMeta(0).company;
+  const std::string before = NativeVendorNode(h, company);
 
-  h.router()->RefreshVendorIndexNow();
-  h.Pump([&] { return h.router()->vendor_index_refreshes() >= 1; });
-  ASSERT_GE(h.router()->vendor_index_refreshes(), 1u);
+  // A new vote on program 0 changes its owner's vendor table at the next
+  // aggregation; no other shard's table changes.
+  ASSERT_TRUE(h.SubmitRating(session, ProgramMeta(0), 10, "late").ok());
+  h.RunAggregation(31 * util::kDay);
+  const std::string after = NativeVendorNode(h, company);
+  ASSERT_NE(after, before);
 
-  // Served from the index now — and byte-identical to the scatter merge.
-  auto indexed = QueryProgram(h, session, 0);
-  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-  const XmlNode* index_vendor = indexed->FindChild("vendor");
-  ASSERT_NE(index_vendor, nullptr);
-  EXPECT_EQ(xml::WriteXml(*index_vendor), xml::WriteXml(*scatter_vendor));
-  EXPECT_GT(h.router()->vendor_index_hits(), 0u);
+  const std::uint64_t rounds = h.router()->vendor_index_refreshes();
+  const std::vector<std::uint64_t> calls = UpstreamCalls(h, metrics);
+  auto answer = QueryProgram(h, session, 0);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ExpectNativeVendor(h, *answer, company, "first query");
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds + 1);
+  // One round: a QueryVendorIndex on every shard, plus the query itself
+  // on the owner.
+  const std::vector<std::uint64_t> now = UpstreamCalls(h, metrics);
+  const int owner = OwnerIndex(h, 0);
+  for (int s = 0; s < h.cluster()->num_shards(); ++s) {
+    const std::size_t k = static_cast<std::size_t>(s);
+    EXPECT_EQ(now[k] - calls[k], s == owner ? 2u : 1u) << "shard " << s;
+  }
+
+  // The following queries start no round.
+  for (int i = 0; i < kPrograms; ++i) {
+    const std::uint64_t total = TotalUpstreamCalls(h, metrics);
+    auto next = QueryProgram(h, session, i);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ExpectNativeVendor(h, *next, ProgramMeta(i).company,
+                       StrFormat("program %d", i));
+    EXPECT_EQ(TotalUpstreamCalls(h, metrics) - total, 1u) << "program " << i;
+  }
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds + 1);
+}
+
+TEST(ClusterVendorIndex, MembershipAndFailover) {
+  Harness h(2);
+  RunScriptedWorkload(h);
+  const std::string user = "fleet-reader";
+  std::string session = h.Onboard(user);
+  ASSERT_TRUE(QueryProgram(h, session, 0).ok());  // the index is current
+  const std::uint64_t rounds = h.router()->vendor_index_refreshes();
+
+  // The promoted backup publishes the same vendor table, so its version —
+  // a content hash, not the epoch that restarts at 1 — is unchanged.
+  h.Pump({}, 5);  // let WAL shipping bring the backups level
+  ASSERT_TRUE(h.cluster()->TriggerFailover(OwnerIndex(h, 0)).ok());
+  ASSERT_EQ(Relogin(h, user), session);
+  auto answer = QueryProgram(h, session, 0);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ExpectNativeVendor(h, *answer, ProgramMeta(0).company, "after failover");
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds);
+
+  // A third shard: the index no longer covers the ring, so the next answer
+  // waits for a round over the new membership. The reshard cleared every
+  // vendor table; the aggregation (a full sweep after the restart)
+  // rebuilds them.
+  auto added = h.cluster()->AddShard();
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  h.router()->AddShard(*added);
+  h.RunAggregation(31 * util::kDay);
+  ASSERT_EQ(Relogin(h, user), session);
+  for (int i = 0; i < kPrograms; ++i) {
+    auto next = QueryProgram(h, session, i);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ExpectNativeVendor(h, *next, ProgramMeta(i).company,
+                       StrFormat("program %d", i));
+  }
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds + 1);
+}
+
+TEST(ClusterVendorIndex, FailedRoundNeverMergesASubset) {
+  obs::MetricsRegistry metrics;
+  Harness h(3, /*gossip_period=*/0, &metrics);
+  net::FaultInjector faults(&h.loop());
+  h.network().AttachFaultInjector(&faults);
+  RunScriptedWorkload(h);
+  std::string session = h.Onboard("cut-reader");
+  ASSERT_TRUE(QueryProgram(h, session, 0).ok());  // the index is current
+  const std::uint64_t rounds = h.router()->vendor_index_refreshes();
+
+  // Change the tables of shards 0 and 1 with a vote on one program each,
+  // remembering the vendor node the index serves for every program those
+  // two shards own.
+  std::vector<int> programs;
+  std::map<int, std::string> indexed;
+  std::set<int> changed;
+  for (int i = 0; i < kPrograms; ++i) {
+    const int owner = OwnerIndex(h, i);
+    if (owner == 2) continue;
+    programs.push_back(i);
+    auto answer = QueryProgram(h, session, i);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    indexed[i] = VendorNodeOf(*answer);
+    ASSERT_FALSE(indexed[i].empty()) << "program " << i;
+    if (changed.insert(owner).second) {
+      ASSERT_TRUE(h.SubmitRating(session, ProgramMeta(i), 10, "late").ok());
+    }
+  }
+  ASSERT_EQ(changed.size(), 2u);
+  h.RunAggregation(31 * util::kDay);
+
+  // The router can no longer reach shard 2. Concurrent queries on shards 0
+  // and 1 reveal the changed tables; the round they wait for loses its
+  // shard-2 leg to the timeout.
+  faults.PartitionOneWay("server!up", h.cluster()->ShardName(2));
+  net::RpcClient burst(&h.network(), &h.loop(), "burst-tester", "server");
+  ASSERT_TRUE(burst.Start().ok());
+  const std::uint64_t before = TotalUpstreamCalls(h, metrics);
+  std::map<int, std::optional<Result<XmlNode>>> answers;
+  for (int i : programs) {
+    XmlNode request("request");
+    request.AddTextChild("session", session);
+    request.AddTextChild("id", ProgramMeta(i).id.ToHex());
+    burst.Call(
+        "QuerySoftware", std::move(request),
+        [&answers, i](Result<XmlNode> r) { answers[i] = std::move(r); },
+        30 * util::kSecond);
+  }
+  h.Pump([&] {
+    for (int i : programs) {
+      if (!answers[i].has_value()) return false;
+    }
+    return true;
+  });
+
+  // Every waiting reply completed from the previous, complete index.
+  for (int i : programs) {
+    ASSERT_TRUE(answers[i].has_value()) << "program " << i;
+    ASSERT_TRUE(answers[i]->ok()) << answers[i]->status().ToString();
+    EXPECT_EQ(VendorNodeOf(**answers[i]), indexed[i]) << "program " << i;
+  }
+  // One round (a leg per shard) for all of them, and it published nothing.
+  EXPECT_EQ(TotalUpstreamCalls(h, metrics) - before, programs.size() + 3);
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds);
+
+  // The failed round left the recorded versions alone, so once the link
+  // heals the next reply pulls again and carries the new merge.
+  faults.Heal();
+  auto healed = QueryProgram(h, session, programs.front());
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  ExpectNativeVendor(h, *healed, ProgramMeta(programs.front()).company,
+                     "after the heal");
+  EXPECT_NE(VendorNodeOf(*healed), indexed[programs.front()]);
+  EXPECT_EQ(h.router()->vendor_index_refreshes(), rounds + 1);
+  h.network().AttachFaultInjector(nullptr);
 }
 
 TEST(ClusterCodec, BinaryClientAndXmlClientGetIdenticalAnswers) {
@@ -1435,13 +1668,11 @@ TEST(ClusterCodec, RouterForwardsBinaryAndRepliesInKind) {
                           inbox.push_back(message.payload);
                         })
                   .ok());
+  // Bring the vendor index up to date with the workload's aggregation.
+  ASSERT_TRUE(QueryProgram(h, session, 0).ok());
   for (int i = 0; i < kPrograms; ++i) {
     const core::SoftwareMeta meta = ProgramMeta(i);
-    int owner = 0;
-    while (h.cluster()->ShardName(owner) !=
-           h.cluster()->ring().OwnerOf(meta.id)) {
-      ++owner;
-    }
+    const int owner = OwnerIndex(h, i);
     std::vector<std::uint64_t> binary_before;
     for (int s = 0; s < h.cluster()->num_shards(); ++s) {
       binary_before.push_back(
@@ -1459,10 +1690,10 @@ TEST(ClusterCodec, RouterForwardsBinaryAndRepliesInKind) {
     h.Pump([&inbox] { return !inbox.empty(); });
     ASSERT_EQ(inbox.size(), 1u) << "program " << i;
 
-    // Upstream, every frame was binary: the QuerySoftware call reached the
-    // owning primary, and one QueryVendor scatter leg reached each primary.
+    // Upstream, the one frame was binary and reached the owning primary;
+    // the vendor score came from the router's index.
     for (int s = 0; s < h.cluster()->num_shards(); ++s) {
-      const std::uint64_t expected_frames = s == owner ? 2 : 1;
+      const std::uint64_t expected_frames = s == owner ? 1 : 0;
       EXPECT_EQ(h.cluster()->primary(s)->rpc_server()->binary_requests() -
                     binary_before[static_cast<std::size_t>(s)],
                 expected_frames)

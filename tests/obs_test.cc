@@ -416,7 +416,7 @@ TEST(SnapshotLoggerTest, DisabledWithoutRegistryOrPeriod) {
 
 // --- Codec counter (DESIGN.md §14) ------------------------------------------
 
-TEST(RpcCodecMetricsTest, BinaryAndBatchedCountersTrackTraffic) {
+TEST(RpcCodecMetricsTest, BinaryCounterTracksTraffic) {
   net::EventLoop loop;
   net::NetworkConfig config;
   config.base_latency = 5 * kMillisecond;
