@@ -1,11 +1,13 @@
 // Ablation A4: cost of score aggregation — the paper's recompute-everything
 // 24-hour job (§3.2) versus the incremental dirty-set recompute, and the
-// single-threaded versus thread-pool compute fan-out.
+// single-threaded versus thread-pool compute fan-out — plus the snapshot
+// publish that follows a server's run, rendered inline and on the pool.
 //
 // Emits BENCH_aggregation.json at the repo root (bench_util.h OutputPath). `--smoke` runs
 // only the smallest size with correctness self-checks (used by the
-// `bench-smoke` ctest label); the full run also self-checks that the
-// incremental path actually delivers an order-of-magnitude win at scale.
+// `bench-smoke` ctest label); every size checks that the pooled snapshot
+// is byte-identical to the inline one, and the full run also self-checks
+// that the incremental path delivers an order-of-magnitude win at scale.
 
 #include <cstdio>
 #include <cstring>
@@ -17,8 +19,10 @@
 #include "bench_timer.h"
 #include "bench_util.h"
 #include "core/types.h"
+#include "proto/wire.h"
 #include "server/account_manager.h"
 #include "server/aggregation_job.h"
+#include "server/score_snapshot.h"
 #include "server/software_registry.h"
 #include "server/vote_store.h"
 #include "storage/database.h"
@@ -26,6 +30,7 @@
 #include "util/sha1.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
+#include "xml/xml_writer.h"
 
 namespace pisrep::bench {
 namespace {
@@ -46,6 +51,8 @@ struct SizeResult {
   std::int64_t incremental_micros = 0;
   std::size_t incremental_recomputed = 0;
   std::size_t incremental_candidates = 0;
+  std::int64_t snapshot_single_micros = 0;
+  std::int64_t snapshot_parallel_micros = 0;
 };
 
 SoftwareMeta ProgramMeta(std::size_t index, std::size_t vendors) {
@@ -161,6 +168,28 @@ class Fixture {
     return true;
   }
 
+  /// The snapshot a server would publish now, rendered on `pool` (null:
+  /// inline).
+  std::shared_ptr<const server::ScoreSnapshot> Snapshot(
+      util::ThreadPool* pool) const {
+    return server::BuildScoreSnapshot(*registry_, *votes_,
+                                      server::SnapshotBuildOptions{},
+                                      /*epoch=*/1, 2 * util::kDay, pool);
+  }
+
+  /// Every entry's wire bytes in registry order, then the vendor table.
+  std::string SnapshotBytes(const server::ScoreSnapshot& snapshot) const {
+    std::string out;
+    for (const SoftwareId& id : registry_->AllSoftware()) {
+      out += xml::WriteXml(proto::SoftwareInfoToXml(
+          server::LookupSnapshotInfo(snapshot, id)));
+    }
+    for (const core::VendorScore& vendor : snapshot.vendors) {
+      out += xml::WriteXml(server::VendorIndexRow(vendor));
+    }
+    return out;
+  }
+
   server::AggregationJob& job() { return *job_; }
   std::size_t programs() const { return programs_; }
   std::size_t users() const { return users_; }
@@ -229,14 +258,31 @@ SizeResult RunSize(std::size_t votes) {
     std::exit(1);
   }
 
+  // The publish a server runs after every aggregation: the whole snapshot
+  // rendered inline, then on the pool; both must be byte-identical.
+  timer.Reset();
+  auto inline_snapshot = fx.Snapshot(nullptr);
+  result.snapshot_single_micros = timer.ElapsedMicros();
+  timer.Reset();
+  auto pooled_snapshot = fx.Snapshot(&pool);
+  result.snapshot_parallel_micros = timer.ElapsedMicros();
+  if (fx.SnapshotBytes(*inline_snapshot) !=
+      fx.SnapshotBytes(*pooled_snapshot)) {
+    std::fprintf(stderr, "FAIL: pooled snapshot diverged from inline\n");
+    std::exit(1);
+  }
+
   std::printf(
       "  votes=%-8zu full=%8lldus  parallel=%8lldus (shards=%zu)  "
-      "incremental=%8lldus (%zu/%zu recomputed)\n",
+      "incremental=%8lldus (%zu/%zu recomputed)  "
+      "snapshot=%8lldus  parallel=%8lldus\n",
       votes, static_cast<long long>(result.full_single_micros),
       static_cast<long long>(result.full_parallel_micros),
       result.parallel_shards,
       static_cast<long long>(result.incremental_micros),
-      result.incremental_recomputed, result.incremental_candidates);
+      result.incremental_recomputed, result.incremental_candidates,
+      static_cast<long long>(result.snapshot_single_micros),
+      static_cast<long long>(result.snapshot_parallel_micros));
   return result;
 }
 
@@ -262,6 +308,8 @@ void WriteJson(const std::vector<SizeResult>& results, bool smoke) {
     double full = static_cast<double>(r.full_single_micros);
     double inc = static_cast<double>(r.incremental_micros);
     double par = static_cast<double>(r.full_parallel_micros);
+    double snap = static_cast<double>(r.snapshot_single_micros);
+    double snap_par = static_cast<double>(r.snapshot_parallel_micros);
     std::fprintf(
         out,
         "    {\"votes\": %zu, \"programs\": %zu, \"users\": %zu,\n"
@@ -270,13 +318,19 @@ void WriteJson(const std::vector<SizeResult>& results, bool smoke) {
         "     \"incremental_recomputed\": %zu, "
         "\"incremental_candidates\": %zu,\n"
         "     \"full_over_incremental\": %.2f, "
-        "\"parallel_speedup\": %.2f}%s\n",
+        "\"parallel_speedup\": %.2f,\n"
+        "     \"snapshot_single_micros\": %lld, "
+        "\"snapshot_parallel_micros\": %lld, "
+        "\"snapshot_speedup\": %.2f}%s\n",
         r.votes, r.programs, r.users,
         static_cast<long long>(r.full_single_micros),
         static_cast<long long>(r.full_parallel_micros), r.parallel_shards,
         static_cast<long long>(r.incremental_micros),
         r.incremental_recomputed, r.incremental_candidates,
         inc > 0 ? full / inc : 0.0, par > 0 ? full / par : 0.0,
+        static_cast<long long>(r.snapshot_single_micros),
+        static_cast<long long>(r.snapshot_parallel_micros),
+        snap_par > 0 ? snap / snap_par : 0.0,
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

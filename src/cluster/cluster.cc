@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "cluster/router.h"
+#include "core/rating_aggregator.h"
 #include "proto/wire.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -414,11 +415,9 @@ Result<core::SoftwareScore> ShardCluster::GetScore(const core::SoftwareId& id) {
 
 Result<core::VendorScore> ShardCluster::MergedVendorScore(
     const core::VendorId& vendor) {
-  // Same weighting and same (sorted-shard) order as the router's
-  // vendor-index merge, so native and RPC reads agree to the sixth decimal.
-  double weighted_sum = 0.0;
-  int total_count = 0;
-  util::TimePoint computed_at = 0;
+  // The router's vendor-index merge: same function, same (ring-member)
+  // order, so native and routed reads agree exactly.
+  std::vector<core::VendorScore> legs;
   for (const std::string& member : ring_.Members()) {
     ShardNode* node = FindShard(member);
     if (node == nullptr || !node->primary_alive()) {
@@ -426,21 +425,10 @@ Result<core::VendorScore> ShardCluster::MergedVendorScore(
     }
     Result<core::VendorScore> leg =
         node->server()->registry().GetVendorScore(vendor);
-    if (!leg.ok()) continue;  // the vendor has no software on this shard
-    if (leg->software_count <= 0) continue;
-    weighted_sum += leg->score * leg->software_count;
-    total_count += leg->software_count;
-    computed_at = std::max(computed_at, leg->computed_at);
+    // NotFound: the vendor has no software on this shard.
+    if (leg.ok()) legs.push_back(*std::move(leg));
   }
-  if (total_count == 0) {
-    return Status::NotFound("vendor has no scored software");
-  }
-  core::VendorScore merged;
-  merged.vendor = vendor;
-  merged.score = weighted_sum / total_count;
-  merged.software_count = total_count;
-  merged.computed_at = computed_at;
-  return merged;
+  return core::RatingAggregator::MergeVendor(vendor, legs);
 }
 
 std::uint64_t ShardCluster::TotalVotesAccepted() const {

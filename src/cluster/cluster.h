@@ -211,8 +211,8 @@ class ShardCluster {
 
   util::Result<core::SoftwareScore> GetScore(const core::SoftwareId& id);
   /// Software-count-weighted merge of the per-shard vendor means, in
-  /// sorted-shard order (deterministic; the router's vendor index merges
-  /// the same way from the shards' %.6f-rendered partials).
+  /// ring-member order through core::RatingAggregator::MergeVendor, as the
+  /// router's vendor index merges the shards' exact partials.
   util::Result<core::VendorScore> MergedVendorScore(
       const core::VendorId& vendor);
   std::uint64_t TotalVotesAccepted() const;

@@ -1,7 +1,10 @@
 #include "cluster/router.h"
 
+#include <limits>
 #include <utility>
+#include <vector>
 
+#include "core/rating_aggregator.h"
 #include "proto/wire.h"
 #include "server/score_snapshot.h"
 #include "util/hex.h"
@@ -532,11 +535,11 @@ void Router::FinishVendorRound(VendorRound& round) {
     }
   }
   if (failure.ok()) {
-    // The shards' %.6f partials weighted by count and summed in ring-member
-    // order, as ShardCluster::MergedVendorScore sums the unrounded ones.
+    // The shards' exact (%.17g) means, merged per vendor in ring-member
+    // order by the same function as ShardCluster::MergedVendorScore.
     auto index = std::make_unique<VendorIndex>();
     index->members = round.members;
-    std::unordered_map<std::string, std::pair<double, std::int64_t>> sums;
+    std::unordered_map<std::string, std::vector<core::VendorScore>> legs;
     for (const auto& leg : round.legs) {
       index->versions.push_back(
           (*leg)->AttributeOr(server::kVendorVersionAttribute, ""));
@@ -544,21 +547,23 @@ void Router::FinishVendorRound(VendorRound& round) {
         auto score = util::ParseDouble(row.AttributeOr("score", "0"));
         auto count = util::ParseInt64(row.AttributeOr("count", "0"));
         std::string name = row.AttributeOr("name", "");
-        if (!score.ok() || !count.ok() || *count <= 0 || name.empty()) {
+        if (!score.ok() || !count.ok() || *count <= 0 ||
+            *count > std::numeric_limits<int>::max() || name.empty()) {
           continue;
         }
-        auto& [weighted, total] = sums[name];
-        weighted += *score * static_cast<double>(*count);
-        total += *count;
+        core::VendorScore partial;
+        partial.score = *score;
+        partial.software_count = static_cast<int>(*count);
+        legs[name].push_back(std::move(partial));
       }
     }
-    for (const auto& [name, sum] : sums) {
-      const auto& [weighted, total] = sum;
-      const double mean = weighted / static_cast<double>(total);
+    for (const auto& [name, partials] : legs) {
+      auto merged = core::RatingAggregator::MergeVendor(name, partials);
+      if (!merged.ok()) continue;
       XmlNode node("vendor");
       node.SetAttribute("name", name);
-      node.SetAttribute("score", util::StrFormat("%.6f", mean));
-      node.SetAttribute("count", std::to_string(total));
+      node.SetAttribute("score", util::StrFormat("%.6f", merged->score));
+      node.SetAttribute("count", std::to_string(merged->software_count));
       index->vendors.emplace(name, std::move(node));
     }
     vendor_index_ = std::move(index);

@@ -1,5 +1,7 @@
 #include "core/rating_aggregator.h"
 
+#include <algorithm>
+
 namespace pisrep::core {
 
 SoftwareScore RatingAggregator::Aggregate(
@@ -47,6 +49,24 @@ VendorScore RatingAggregator::AggregateVendor(
     result.score = sum / result.software_count;
   }
   return result;
+}
+
+util::Result<VendorScore> RatingAggregator::MergeVendor(
+    const VendorId& vendor, const std::vector<VendorScore>& legs) {
+  VendorScore merged;
+  merged.vendor = vendor;
+  double weighted_sum = 0.0;
+  for (const VendorScore& leg : legs) {
+    if (leg.software_count <= 0) continue;
+    weighted_sum += leg.score * leg.software_count;
+    merged.software_count += leg.software_count;
+    merged.computed_at = std::max(merged.computed_at, leg.computed_at);
+  }
+  if (merged.software_count == 0) {
+    return util::Status::NotFound("vendor has no scored software");
+  }
+  merged.score = weighted_sum / merged.software_count;
+  return merged;
 }
 
 }  // namespace pisrep::core

@@ -5,6 +5,7 @@
 
 #include "core/types.h"
 #include "util/clock.h"
+#include "util/status.h"
 
 namespace pisrep::core {
 
@@ -39,6 +40,15 @@ class RatingAggregator {
   static VendorScore AggregateVendor(const VendorId& vendor,
                                      const std::vector<SoftwareScore>& scores,
                                      util::TimePoint now);
+
+  /// Cluster vendor score from per-shard `legs` (each shard's
+  /// AggregateVendor result for `vendor`): their means weighted by their
+  /// software counts, summed in the order given, so callers that pass the
+  /// legs in ring-member order agree bit for bit. Legs without scored
+  /// software are skipped; computed_at is the newest leg's. NotFound when
+  /// no leg has any.
+  static util::Result<VendorScore> MergeVendor(
+      const VendorId& vendor, const std::vector<VendorScore>& legs);
 };
 
 }  // namespace pisrep::core

@@ -1,8 +1,11 @@
 #include "server/aggregation_job.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -20,7 +23,15 @@ std::string AggregationStats::Summary() const {
          " priors=" + std::to_string(dirty_priors) + "), " +
          std::to_string(vendors_recomputed) +
          " vendors, shards=" + std::to_string(shards) + ", " +
-         std::to_string(wall_micros) + "us";
+         std::to_string(wall_micros) + "us (select=" +
+         std::to_string(select_micros) +
+         "us compute=" + std::to_string(compute_micros) +
+         "us write=" + std::to_string(write_micros) +
+         "us vendor=" + std::to_string(vendor_micros) + "us)";
+}
+
+std::vector<double> AggregationMicrosBuckets() {
+  return {100.0, 1000.0, 10000.0, 100000.0, 1000000.0};
 }
 
 AggregationJob::AggregationJob(SoftwareRegistry* registry, VoteStore* votes,
@@ -40,6 +51,10 @@ void AggregationJob::AttachObservability(obs::MetricsRegistry* metrics,
     dirty_priors_metric_ = nullptr;
     vendors_metric_ = nullptr;
     run_micros_ = nullptr;
+    select_micros_ = nullptr;
+    compute_micros_ = nullptr;
+    write_micros_ = nullptr;
+    vendor_micros_ = nullptr;
     return;
   }
   runs_metric_ = metrics->GetCounter("pisrep_server_aggregation_runs_total");
@@ -61,10 +76,18 @@ void AggregationJob::AttachObservability(obs::MetricsRegistry* metrics,
   vendors_metric_ = metrics->GetCounter(
       "pisrep_server_aggregation_vendors_recomputed_total");
   // Wall-clock-valued (instrumentation only): same caveat as
-  // stats_.wall_micros, which it mirrors.
-  run_micros_ = metrics->GetHistogram(
-      "pisrep_server_aggregation_run_micros",
-      {100.0, 1000.0, 10000.0, 100000.0, 1000000.0});
+  // stats_.wall_micros and the phase fields, which they mirror.
+  run_micros_ = metrics->GetHistogram("pisrep_server_aggregation_run_micros",
+                                      AggregationMicrosBuckets());
+  auto phase = [&](std::string_view name) {
+    return metrics->GetHistogram(
+        obs::WithLabel(kAggregationPhaseMicros, "phase", name),
+        AggregationMicrosBuckets());
+  };
+  select_micros_ = phase("select");
+  compute_micros_ = phase("compute");
+  write_micros_ = phase("write");
+  vendor_micros_ = phase("vendor");
 }
 
 void AggregationJob::EmitStats() {
@@ -80,6 +103,18 @@ void AggregationJob::EmitStats() {
   dirty_priors_metric_->Increment(stats_.dirty_priors);
   vendors_metric_->Increment(stats_.vendors_recomputed);
   run_micros_->Observe(static_cast<double>(stats_.wall_micros));
+  select_micros_->Observe(static_cast<double>(stats_.select_micros));
+  compute_micros_->Observe(static_cast<double>(stats_.compute_micros));
+  write_micros_->Observe(static_cast<double>(stats_.write_micros));
+  vendor_micros_->Observe(static_cast<double>(stats_.vendor_micros));
+}
+
+util::ThreadPool* AggregationJob::TickPool() const {
+  if (pool_ != nullptr) return pool_;
+  if (fan_out_shared_ && registry_->SoftwareCount() >= kTickSplitTitles) {
+    return &util::ThreadPool::Shared();
+  }
+  return nullptr;
 }
 
 std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
@@ -94,6 +129,8 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   const bool sweep =
       full_sweep || force_full_sweep_ || runs_ == 1 ||
       (full_sweep_every_ != 0 && runs_ % full_sweep_every_ == 0);
+
+  util::ThreadPool* const pool = TickPool();
 
   // Consume every dirty source even when sweeping, so the next incremental
   // run starts from a clean slate instead of redoing already-swept work.
@@ -116,18 +153,28 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   // (vote-dirty, then trust-dirty, then prior-dirty) so repeated runs over
   // the same dirt recompute in the same sequence. Ids without votes are
   // skipped: a full sweep would not touch them either (RatedSoftware), so
-  // skipping keeps the two modes byte-identical.
+  // skipping keeps the two modes byte-identical. Each target's vote count
+  // is read once, here; `slot_of` maps a target to its index.
   std::vector<core::SoftwareId> targets;
+  std::vector<std::size_t> vote_counts;
+  std::unordered_map<core::SoftwareId, std::size_t, core::SoftwareIdHash>
+      slot_of;
+  slot_of.reserve(sweep ? votes_->RatedSoftwareCount()
+                        : dirty_votes.size() + dirty_priors.size());
+  auto add = [&](const core::SoftwareId& id) {
+    const std::size_t count = votes_->VoteCountFor(id);
+    if (count == 0) return false;
+    if (!slot_of.emplace(id, targets.size()).second) return false;
+    targets.push_back(id);
+    vote_counts.push_back(count);
+    return true;
+  };
   if (sweep) {
-    targets = votes_->RatedSoftware();
+    std::vector<core::SoftwareId> rated = votes_->RatedSoftware();
+    targets.reserve(rated.size());
+    vote_counts.reserve(rated.size());
+    for (const core::SoftwareId& id : rated) add(id);
   } else {
-    std::unordered_set<std::string> seen;
-    auto add = [&](const core::SoftwareId& id) {
-      if (votes_->VoteCountFor(id) == 0) return false;
-      if (!seen.insert(id.ToHex()).second) return false;
-      targets.push_back(id);
-      return true;
-    };
     for (const core::SoftwareId& id : dirty_votes) add(id);
     if (trust_weighting_) {
       // A trust change re-weighs only *linkable* votes; pseudonymous votes
@@ -141,6 +188,8 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
     }
     for (const core::SoftwareId& id : dirty_priors) add(id);
   }
+  const std::int64_t selected = util::MonotonicMicros();
+  stats_.select_micros = selected - started;
 
   // When the run will touch more votes than there are accounts, snapshot
   // every trust factor in one users-table scan up front. Per-vote
@@ -152,22 +201,21 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   bool use_trust_cache = false;
   if (trust_weighting_) {
     std::size_t vote_work = 0;
-    for (const core::SoftwareId& id : targets) {
-      vote_work += votes_->VoteCountFor(id);
-    }
+    for (std::size_t count : vote_counts) vote_work += count;
     if (vote_work >= accounts_->AccountCount()) {
       trust_cache = accounts_->AllTrustFactors();
       use_trust_cache = true;
     }
   }
 
-  // Phase 1 — pure compute, fanned out across the pool when one is
-  // attached. Workers only *read* (votes, trust factors, priors) and write
+  // Phase 1 — pure compute, fanned out across the pool when there is
+  // one. Workers only *read* (votes, trust factors, priors) and write
   // disjoint slots of a pre-sized results vector; per-software arithmetic
   // order never changes, so parallel output is bit-identical to serial.
-  auto compute = [&](const core::SoftwareId& software) {
+  auto compute = [&](std::size_t slot) {
+    const core::SoftwareId& software = targets[slot];
     std::vector<core::WeightedVote> weighted;
-    weighted.reserve(votes_->VoteCountFor(software) + 1);
+    weighted.reserve(vote_counts[slot] + 1);
     votes_->ForEachVoteOn(
         software, [&](core::UserId user, int score, double trust_snapshot) {
           // Pseudonymous votes carry their weight frozen at vote time;
@@ -208,21 +256,19 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   };
 
   std::vector<core::SoftwareScore> results(targets.size());
-  if (pool_ != nullptr && targets.size() > 1) {
-    std::size_t shards = std::min(targets.size(), pool_->size());
+  if (pool != nullptr && targets.size() > 1) {
+    std::size_t shards = std::min(targets.size(), pool->size());
     std::size_t chunk = (targets.size() + shards - 1) / shards;
     stats_.shards = (targets.size() + chunk - 1) / chunk;
-    pool_->ParallelFor(targets.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           results[i] = compute(targets[i]);
-                         }
-                       });
-  } else {
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      results[i] = compute(targets[i]);
-    }
   }
+  util::ParallelForOn(pool, targets.size(),
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          results[i] = compute(i);
+                        }
+                      });
+  const std::int64_t computed = util::MonotonicMicros();
+  stats_.compute_micros = computed - selected;
 
   // Phase 2 — writes, sequential on the calling thread in target order
   // (storage::Database is single-writer).
@@ -233,6 +279,8 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
     if (!put.ok()) {
       PISREP_LOG(kWarning) << "aggregation: PutScore("
                            << targets[i].ToHex() << ") failed: " << put;
+      // The store keeps the old score; the vendor pass must read that one.
+      slot_of.erase(targets[i]);
       continue;
     }
     ++recomputed;
@@ -241,52 +289,76 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   stats_.recomputed = recomputed;
   stats_.skipped = stats_.candidates - std::min(stats_.candidates,
                                                 targets.size());
+  const std::int64_t written = util::MonotonicMicros();
+  stats_.write_micros = written - computed;
 
-  // Vendor scores: mean over the vendor's scored software (§3.2). Both
-  // modes gather through SoftwareByVendor so the floating-point summation
-  // order is identical whether a vendor was reached by a sweep or by one
-  // dirty title.
+  // Vendor scores: mean over the vendor's scored software (§3.2), for every
+  // vendor owning a target or a dirty prior, and every vendor on a sweep.
+  // A rewritten prior on a zero-vote title never enters `targets` (its
+  // visible row was updated by PutBootstrapPrior directly), but the vendor
+  // mean reads that row, so its vendor is dirty too. Owners are looked up
+  // on the pool and deduplicated in first-touch order.
   std::vector<core::VendorId> vendors;
-  std::unordered_set<std::string> vendor_seen;
-  auto add_vendor = [&](const core::SoftwareId& software) {
-    auto meta = registry_->GetSoftware(software);
-    if (!meta.ok() || meta->company.empty()) return;
-    if (!vendor_seen.insert(meta->company).second) return;
-    vendors.push_back(meta->company);
-  };
   if (sweep) {
-    for (const core::SoftwareId& software : registry_->AllSoftware()) {
-      add_vendor(software);
-    }
+    vendors = registry_->AllVendors();
   } else {
-    for (const core::SoftwareId& software : targets) add_vendor(software);
-    // A rewritten prior on a zero-vote title never enters `targets` (its
-    // visible row was updated by PutBootstrapPrior directly), but the
-    // vendor mean reads that row — the vendor is dirty even though no
-    // software score was recomputed.
-    for (const core::SoftwareId& software : dirty_priors) {
-      add_vendor(software);
+    std::vector<core::VendorId> owners(targets.size() + dirty_priors.size());
+    util::ParallelForOn(
+        pool, owners.size(), [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            owners[i] = registry_->VendorOf(
+                i < targets.size() ? targets[i]
+                                   : dirty_priors[i - targets.size()]);
+          }
+        });
+    std::unordered_set<std::string_view> seen;
+    for (const core::VendorId& owner : owners) {
+      if (!owner.empty() && seen.insert(owner).second) {
+        vendors.push_back(owner);
+      }
     }
   }
-  for (const core::VendorId& vendor : vendors) {
-    std::vector<core::SoftwareScore> scores;
-    for (const core::SoftwareMeta& meta :
-         registry_->SoftwareByVendor(vendor)) {
-      auto score = registry_->GetScore(meta.id);
-      if (score.ok()) scores.push_back(*score);
-    }
-    if (scores.empty()) continue;
-    util::Status put = registry_->PutVendorScore(
-        core::RatingAggregator::AggregateVendor(vendor, scores, now));
+  // Each mean sums its vendor's titles in SoftwareByVendor order however
+  // the vendor was reached, so sweep and incremental runs agree bit for
+  // bit. A target's score comes from phase 1 (it is what PutScore just
+  // stored); every other title's from the store. The means are computed
+  // on the pool; the writes stay on this thread, in vendor order.
+  const auto& target_slots = slot_of;
+  std::vector<std::optional<core::VendorScore>> means(vendors.size());
+  util::ParallelForOn(
+      pool, vendors.size(), [&](std::size_t begin, std::size_t end) {
+        std::vector<core::SoftwareScore> scores;
+        for (std::size_t i = begin; i < end; ++i) {
+          scores.clear();
+          registry_->ForEachSoftwareOfVendor(
+              vendors[i], [&](const core::SoftwareId& software) {
+                auto slot = target_slots.find(software);
+                if (slot != target_slots.end()) {
+                  scores.push_back(results[slot->second]);
+                  return;
+                }
+                auto score = registry_->GetScore(software);
+                if (score.ok()) scores.push_back(*score);
+              });
+          if (scores.empty()) continue;
+          means[i] =
+              core::RatingAggregator::AggregateVendor(vendors[i], scores, now);
+        }
+      });
+  for (const std::optional<core::VendorScore>& mean : means) {
+    if (!mean.has_value()) continue;
+    util::Status put = registry_->PutVendorScore(*mean);
     if (!put.ok()) {
-      PISREP_LOG(kWarning) << "aggregation: PutVendorScore(" << vendor
+      PISREP_LOG(kWarning) << "aggregation: PutVendorScore(" << mean->vendor
                            << ") failed: " << put;
       continue;
     }
     ++stats_.vendors_recomputed;
   }
 
-  stats_.wall_micros = util::MonotonicMicros() - started;
+  const std::int64_t finished = util::MonotonicMicros();
+  stats_.vendor_micros = finished - written;
+  stats_.wall_micros = finished - started;
   EmitStats();
   PISREP_LOG(kInfo) << stats_.Summary();
   span.Finish();

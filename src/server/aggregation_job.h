@@ -5,8 +5,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/rating_aggregator.h"
 #include "net/event_loop.h"
@@ -33,6 +34,14 @@ struct AggregationStats {
   std::size_t vendors_recomputed = 0;
   std::size_t shards = 1;       ///< parallel chunks the compute fanned over
   std::int64_t wall_micros = 0; ///< real elapsed time (instrumentation only)
+  /// Wall time of each phase, summing to wall_micros (instrumentation
+  /// only): taking the dirty sets and assembling the targets; the trust
+  /// snapshot and score compute; the score write-back; the vendor pass
+  /// (owners, means and writes).
+  std::int64_t select_micros = 0;
+  std::int64_t compute_micros = 0;
+  std::int64_t write_micros = 0;
+  std::int64_t vendor_micros = 0;
   /// Software whose score write landed this run, in write order. Filled
   /// only when AggregationJob::set_collect_recomputed is on (the tiered
   /// server pins these rows resident under the published snapshot);
@@ -65,12 +74,12 @@ struct AggregationStats {
 /// (set_full_sweep_every), and an unconditional full sweep on a job's first
 /// run (dirty state is in-memory and lost on restart) guard against drift.
 ///
-/// Parallelism: per-software gather+aggregate is read-only over the
-/// database and fans out across a util::ThreadPool when one is attached;
-/// every write (PutScore / PutVendorScore) happens on the calling thread —
-/// storage::Database stays single-writer, and results are byte-identical
-/// to the sequential path because per-software arithmetic order never
-/// changes.
+/// Parallelism: per-software gather+aggregate and the per-vendor means are
+/// read-only over the database and fan out across a util::ThreadPool when
+/// one is attached; every write (PutScore / PutVendorScore) happens on the
+/// calling thread — storage::Database stays single-writer, and results are
+/// byte-identical to the sequential path because per-software and
+/// per-vendor arithmetic order never changes.
 class AggregationJob {
  public:
   /// Every Nth scheduled run is widened to a full sweep by default.
@@ -84,10 +93,28 @@ class AggregationJob {
   void set_trust_weighting(bool enabled) { trust_weighting_ = enabled; }
   bool trust_weighting() const { return trust_weighting_; }
 
-  /// Attaches a worker pool for the compute fan-out (not owned; must
-  /// outlive the job or be detached with nullptr). Null means compute
-  /// inline on the calling thread.
+  /// Attaches a worker pool for the compute and vendor-mean fan-out (not
+  /// owned; must outlive the job or be detached with nullptr). Null means
+  /// compute inline on the calling thread, unless FanOutOnSharedPool is on.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+
+  /// Registered titles from which a job under FanOutOnSharedPool splits a
+  /// run. Below it a run stays on the calling thread and starts no
+  /// thread: a title costs about 10–30 µs across the tick's phases, so a
+  /// split of a few hundred titles saves less than handing chunks to the
+  /// workers costs, and the many small servers tests build would each
+  /// start the pool.
+  static constexpr std::size_t kTickSplitTitles = 512;
+
+  /// How a server wires its job: with no pool attached, every run over a
+  /// store of at least kTickSplitTitles titles fans out over
+  /// util::ThreadPool::Shared(), which the first such run creates.
+  void FanOutOnSharedPool() { fan_out_shared_ = true; }
+
+  /// The pool a run started now fans out over (null: inline): the
+  /// attached one, else the shared one when the store is large enough.
+  /// The server renders its snapshot on the same pool.
+  util::ThreadPool* TickPool() const;
 
   /// Forces a full sweep every `n` runs; 0 disables the periodic guard
   /// (the first run and the explicit escape hatch still sweep fully).
@@ -125,9 +152,10 @@ class AggregationJob {
   }
 
   /// After each run the AggregationStats snapshot is folded into run /
-  /// sweep / recompute counters and a run-duration histogram on `metrics`,
-  /// and the run executes under an `aggregation.run` root span on
-  /// `tracer`. Either may be null; both must outlive the job.
+  /// sweep / recompute counters, a run-duration histogram and the
+  /// `pisrep_server_aggregation_phase_micros{phase=...}` histograms on
+  /// `metrics`, and the run executes under an `aggregation.run` root span
+  /// on `tracer`. Either may be null; both must outlive the job.
   void AttachObservability(obs::MetricsRegistry* metrics,
                            obs::Tracer* tracer);
 
@@ -157,6 +185,7 @@ class AggregationJob {
   AccountManager* accounts_;
   bool trust_weighting_ = true;
   util::ThreadPool* pool_ = nullptr;
+  bool fan_out_shared_ = false;
   std::uint64_t full_sweep_every_ = kDefaultFullSweepEvery;
   bool force_full_sweep_ = false;
   bool collect_recomputed_ = false;
@@ -181,7 +210,19 @@ class AggregationJob {
   obs::Counter* dirty_priors_metric_ = nullptr;
   obs::Counter* vendors_metric_ = nullptr;
   obs::Histogram* run_micros_ = nullptr;
+  obs::Histogram* select_micros_ = nullptr;
+  obs::Histogram* compute_micros_ = nullptr;
+  obs::Histogram* write_micros_ = nullptr;
+  obs::Histogram* vendor_micros_ = nullptr;
 };
+
+/// Family of the per-phase wall-time histograms (label `phase`: select,
+/// compute, write, vendor from the job; publish from the server).
+inline constexpr std::string_view kAggregationPhaseMicros =
+    "pisrep_server_aggregation_phase_micros";
+
+/// Buckets (µs) shared by the run and phase histograms.
+std::vector<double> AggregationMicrosBuckets();
 
 }  // namespace pisrep::server
 

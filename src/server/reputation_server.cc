@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "util/clock.h"
 #include "util/hex.h"
 #include "util/hmac.h"
 #include "util/logging.h"
@@ -65,11 +66,7 @@ ReputationServer::ReputationServer(storage::Database* db,
   aggregation_.set_trust_weighting(config_.trust_weighting);
   aggregation_.set_full_sweep_every(config_.aggregation_full_sweep_every);
   aggregation_.set_force_full_sweep(config_.aggregation_force_full_sweep);
-  if (config_.aggregation_workers > 0) {
-    aggregation_pool_ =
-        std::make_unique<util::ThreadPool>(config_.aggregation_workers);
-    aggregation_.set_thread_pool(aggregation_pool_.get());
-  }
+  aggregation_.FanOutOnSharedPool();
   if (config_.metrics != nullptr || config_.tracer != nullptr) {
     votes_.AttachMetrics(config_.metrics);
     flood_.AttachMetrics(config_.metrics);
@@ -106,6 +103,9 @@ ReputationServer::ReputationServer(storage::Database* db,
         config_.metrics->GetGauge("pisrep_server_query_snapshot_age");
     snapshot_epoch_gauge_ =
         config_.metrics->GetGauge("pisrep_server_snapshot_epoch");
+    publish_micros_ = config_.metrics->GetHistogram(
+        obs::WithLabel(kAggregationPhaseMicros, "phase", "publish"),
+        AggregationMicrosBuckets());
     snapshot_hits_metric_ =
         config_.metrics->GetCounter("pisrep_server_snapshot_hits_total");
     snapshot_misses_metric_ =
@@ -262,10 +262,15 @@ Result<SoftwareInfo> ReputationServer::QuerySoftware(
 }
 
 void ReputationServer::PublishSnapshot() {
+  const std::int64_t started = util::MonotonicMicros();
   std::shared_ptr<const ScoreSnapshot> snapshot =
       BuildScoreSnapshot(registry_, votes_, SnapshotOptionsOf(config_),
-                         ++snapshot_epoch_, Now());
+                         ++snapshot_epoch_, Now(), aggregation_.TickPool());
   snapshot_.Publish(snapshot);
+  if (publish_micros_) {
+    publish_micros_->Observe(
+        static_cast<double>(util::MonotonicMicros() - started));
+  }
   if (snapshot_epoch_gauge_) {
     snapshot_epoch_gauge_->Set(static_cast<std::int64_t>(snapshot->epoch));
   }

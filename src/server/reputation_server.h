@@ -32,7 +32,6 @@
 #include "trust/audit_log.h"
 #include "trust/manifest_store.h"
 #include "trust/signed_statement.h"
-#include "util/thread_pool.h"
 
 namespace pisrep::server {
 
@@ -110,10 +109,6 @@ class ReputationServer {
     /// lose meta-moderation (remarks need linkable authorship).
     bool pseudonymous_votes = false;
     std::string pseudonym_secret = "pisrep-pseudonym-secret";
-    /// Worker threads for the aggregation compute fan-out. 0 keeps the
-    /// job on the calling thread (deterministic single-threaded default
-    /// for simulations; results are identical either way).
-    std::size_t aggregation_workers = 0;
     /// Every Nth aggregation run is widened to a full sweep (drift
     /// guard); 0 disables the periodic guard. Per-server (and therefore
     /// per-shard in a cluster): shards of different sizes can sweep on
@@ -206,7 +201,9 @@ class ReputationServer {
 
   /// Rebuilds and publishes the snapshot from current store contents.
   /// Called automatically at construction and after every aggregation
-  /// run; exposed for benches that mutate stores directly.
+  /// run; exposed for benches that mutate stores directly. The render
+  /// fans out over the aggregation's TickPool: the process-wide pool from
+  /// AggregationJob::kTickSplitTitles titles on.
   void PublishSnapshot();
 
   /// Runs one tiered-storage eviction pass now (the scheduled tick calls
@@ -333,9 +330,6 @@ class ReputationServer {
   Config config_;
   storage::Database* db_;
   net::EventLoop* loop_;
-  /// Declared before aggregation_ so the pool outlives the job that uses
-  /// it. Null when aggregation_workers == 0.
-  std::unique_ptr<util::ThreadPool> aggregation_pool_;
   AccountManager accounts_;
   SoftwareRegistry registry_;
   VoteStore votes_;
@@ -358,6 +352,7 @@ class ReputationServer {
   std::uint64_t snapshot_epoch_ = 0;
   obs::Gauge* snapshot_age_gauge_ = nullptr;
   obs::Gauge* snapshot_epoch_gauge_ = nullptr;
+  obs::Histogram* publish_micros_ = nullptr;
   obs::Counter* snapshot_hits_metric_ = nullptr;
   obs::Counter* snapshot_misses_metric_ = nullptr;
   obs::Counter* trust_sig_verified_metric_ = nullptr;

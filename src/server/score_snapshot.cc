@@ -25,7 +25,7 @@ proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
 xml::XmlNode VendorIndexRow(const core::VendorScore& vendor) {
   xml::XmlNode row("vendor");
   row.SetAttribute("name", vendor.vendor);
-  row.SetAttribute("score", util::StrFormat("%.6f", vendor.score));
+  row.SetAttribute("score", util::StrFormat("%.17g", vendor.score));
   row.SetAttribute("count", std::to_string(vendor.software_count));
   row.SetAttribute("computed_at", std::to_string(vendor.computed_at));
   return row;
@@ -62,7 +62,7 @@ proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,
-    util::TimePoint now) {
+    util::TimePoint now, util::ThreadPool* pool) {
   auto snapshot = std::make_shared<ScoreSnapshot>();
   snapshot->epoch = epoch;
   snapshot->published_at = now;
@@ -73,10 +73,19 @@ std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
   snapshot->registry_generation = registry.content_generation();
   snapshot->votes_generation = votes.content_generation();
 
-  for (const core::SoftwareId& id : registry.AllSoftware()) {
-    proto::SoftwareInfo info = MaterializeTitle(registry, votes, options, id);
-    PISREP_CHECK(info.known) << "software listed but not readable";
-    snapshot->by_software.emplace(id, std::move(info));
+  const std::vector<core::SoftwareId> ids = registry.AllSoftware();
+  std::vector<proto::SoftwareInfo> infos(ids.size());
+  util::ParallelForOn(pool, ids.size(),
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          infos[i] = MaterializeTitle(registry, votes,
+                                                      options, ids[i]);
+                        }
+                      });
+  snapshot->by_software.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    PISREP_CHECK(infos[i].known) << "software listed but not readable";
+    snapshot->by_software.emplace(ids[i], std::move(infos[i]));
   }
 
   // Run statistics attach to bare digests before any registration;

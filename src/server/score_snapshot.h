@@ -13,6 +13,7 @@
 #include "server/vote_store.h"
 #include "util/atomic_shared_ptr.h"
 #include "util/clock.h"
+#include "util/thread_pool.h"
 #include "xml/xml_node.h"
 
 namespace pisrep::server {
@@ -61,7 +62,8 @@ struct ScoreSnapshot {
 inline constexpr std::string_view kVendorVersionAttribute = "vendor_version";
 
 /// One row of QueryVendorIndex's answer: <vendor name score count
-/// computed_at/>, the score as %.6f.
+/// computed_at/>, the score as %.17g so the router merges the exact
+/// per-shard means (core::RatingAggregator::MergeVendor).
 xml::XmlNode VendorIndexRow(const core::VendorScore& vendor);
 
 /// The answer the snapshot gives for `id` — identical in shape to
@@ -90,11 +92,14 @@ proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
                                      const core::SoftwareId& id);
 
 /// Materializes a snapshot from the live stores through MaterializeTitle.
-/// Runs on the writer thread; the result is immutable.
+/// Runs on the writer thread, which may fan the per-title renders out over
+/// `pool` (null renders inline): workers only read the stores and fill
+/// disjoint slots, and the calling thread inserts the entries, so the
+/// result is the same with or without a pool. It is immutable.
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,
-    util::TimePoint now);
+    util::TimePoint now, util::ThreadPool* pool);
 
 /// The single atomic publication point. Writers Publish a freshly built
 /// snapshot (release); readers Current() it (acquire) and hold the

@@ -1,5 +1,6 @@
 #include "server/software_registry.h"
 
+#include <unordered_set>
 #include <utility>
 
 #include "util/hex.h"
@@ -23,14 +24,17 @@ Status EnsureTable(storage::Database* db, const storage::TableSchema& schema) {
   return db->CreateTable(schema);
 }
 
+/// The binary id in a row's hex id column (column 0 of every table here).
+SoftwareId IdFromRow(const Row& row) {
+  SoftwareId id;
+  PISREP_CHECK(util::HexDecodeTo(row[0].AsStr(), id.bytes))
+      << "corrupt software id in registry";
+  return id;
+}
+
 core::SoftwareMeta MetaFromRow(const Row& row) {
   core::SoftwareMeta meta;
-  auto decoded = util::HexDecode(row[0].AsStr());
-  PISREP_CHECK(decoded.ok() && decoded->size() == meta.id.bytes.size())
-      << "corrupt software id in registry";
-  for (std::size_t i = 0; i < meta.id.bytes.size(); ++i) {
-    meta.id.bytes[i] = (*decoded)[i];
-  }
+  meta.id = IdFromRow(row);
   meta.file_name = row[1].AsStr();
   meta.file_size = row[2].AsInt();
   meta.company = row[3].AsStr();
@@ -136,12 +140,38 @@ std::vector<core::SoftwareMeta> SoftwareRegistry::SoftwareByVendor(
   return out;
 }
 
+void SoftwareRegistry::ForEachSoftwareOfVendor(
+    const core::VendorId& vendor,
+    const std::function<void(const SoftwareId&)>& visit) const {
+  // The same index walk as SoftwareByVendor's FindByIndex, so both list a
+  // vendor's titles in one order.
+  Status visited = software_->ForEachByIndex(
+      "company", Value::Str(vendor),
+      [&](const Row& row) { visit(IdFromRow(row)); });
+  PISREP_CHECK(visited.ok()) << visited.ToString();
+}
+
+core::VendorId SoftwareRegistry::VendorOf(const SoftwareId& id) const {
+  auto row = software_->Get(Value::Str(id.ToHex()));
+  return row.ok() ? (*row)[3].AsStr() : core::VendorId();
+}
+
+std::vector<core::VendorId> SoftwareRegistry::AllVendors() const {
+  std::vector<core::VendorId> out;
+  std::unordered_set<std::string> seen;
+  software_->ForEach([&](const Row& row) {
+    const std::string& company = row[3].AsStr();
+    if (!company.empty() && seen.insert(company).second) {
+      out.push_back(company);
+    }
+  });
+  return out;
+}
+
 std::vector<SoftwareId> SoftwareRegistry::AllSoftware() const {
   std::vector<SoftwareId> out;
   out.reserve(software_->size());
-  software_->ForEach([&](const Row& row) {
-    out.push_back(MetaFromRow(row).id);
-  });
+  software_->ForEach([&](const Row& row) { out.push_back(IdFromRow(row)); });
   return out;
 }
 
@@ -215,13 +245,7 @@ std::vector<core::SoftwareScore> SoftwareRegistry::TopScored(
     if (out.size() >= limit) break;
     if (row[2].AsInt() == 0) continue;
     core::SoftwareScore score;
-    auto decoded = util::HexDecode(row[0].AsStr());
-    if (!decoded.ok() || decoded->size() != score.software.bytes.size()) {
-      continue;
-    }
-    for (std::size_t i = 0; i < decoded->size(); ++i) {
-      score.software.bytes[i] = (*decoded)[i];
-    }
+    if (!util::HexDecodeTo(row[0].AsStr(), score.software.bytes)) continue;
     score.score = row[1].AsReal();
     score.vote_count = static_cast<int>(row[2].AsInt());
     score.weight_sum = row[3].AsReal();
@@ -252,9 +276,7 @@ Status SoftwareRegistry::PutBootstrapPrior(const SoftwareId& id,
         Value::Real(weight),
     }));
   }
-  if (dirty_prior_set_.insert(id_hex).second) {
-    dirty_prior_order_.push_back(id_hex);
-  }
+  if (dirty_prior_set_.insert(id).second) dirty_prior_order_.push_back(id);
   ++content_generation_;
   return Status::Ok();
 }
@@ -267,18 +289,7 @@ std::pair<double, double> SoftwareRegistry::GetBootstrapPrior(
 }
 
 std::vector<SoftwareId> SoftwareRegistry::TakeDirtyPriors() {
-  std::vector<SoftwareId> out;
-  out.reserve(dirty_prior_order_.size());
-  for (const std::string& hex : dirty_prior_order_) {
-    auto decoded = util::HexDecode(hex);
-    SoftwareId id;
-    PISREP_CHECK(decoded.ok() && decoded->size() == id.bytes.size())
-        << "corrupt software id in dirty-prior set";
-    for (std::size_t i = 0; i < id.bytes.size(); ++i) {
-      id.bytes[i] = (*decoded)[i];
-    }
-    out.push_back(id);
-  }
+  std::vector<SoftwareId> out = std::move(dirty_prior_order_);
   dirty_prior_order_.clear();
   dirty_prior_set_.clear();
   return out;
@@ -363,16 +374,8 @@ std::vector<std::pair<SoftwareId, std::int64_t>>
 SoftwareRegistry::AllRunCounts() const {
   std::vector<std::pair<SoftwareId, std::int64_t>> out;
   out.reserve(run_stats_->size());
-  run_stats_->ForEach([&](const Row& row) {
-    SoftwareId id;
-    auto decoded = util::HexDecode(row[0].AsStr());
-    PISREP_CHECK(decoded.ok() && decoded->size() == id.bytes.size())
-        << "corrupt software id in run stats";
-    for (std::size_t i = 0; i < id.bytes.size(); ++i) {
-      id.bytes[i] = (*decoded)[i];
-    }
-    out.emplace_back(id, row[1].AsInt());
-  });
+  run_stats_->ForEach(
+      [&](const Row& row) { out.emplace_back(IdFromRow(row), row[1].AsInt()); });
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define PISREP_SERVER_SOFTWARE_REGISTRY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -42,6 +43,20 @@ class SoftwareRegistry {
   /// All registered software produced by `vendor` (company-name match).
   std::vector<core::SoftwareMeta> SoftwareByVendor(
       const core::VendorId& vendor) const;
+
+  /// Visits the ids SoftwareByVendor(vendor) lists, in the same order,
+  /// without materializing their rows (the aggregation's vendor pass).
+  void ForEachSoftwareOfVendor(
+      const core::VendorId& vendor,
+      const std::function<void(const core::SoftwareId&)>& visit) const;
+
+  /// The company `id` is registered under; empty when it has none or is
+  /// not registered.
+  core::VendorId VendorOf(const core::SoftwareId& id) const;
+
+  /// Every non-empty company, in the order AllSoftware first lists one of
+  /// its titles.
+  std::vector<core::VendorId> AllVendors() const;
 
   /// All registered software ids.
   std::vector<core::SoftwareId> AllSoftware() const;
@@ -135,9 +150,10 @@ class SoftwareRegistry {
   storage::TieredTable* behavior_reports_;
   storage::TieredTable* run_stats_;
   /// Priors written since the aggregation job last consumed them
-  /// (hex ids, first-touch order).
-  std::vector<std::string> dirty_prior_order_;
-  std::unordered_set<std::string> dirty_prior_set_;
+  /// (first-touch order).
+  std::vector<core::SoftwareId> dirty_prior_order_;
+  std::unordered_set<core::SoftwareId, core::SoftwareIdHash>
+      dirty_prior_set_;
   std::uint64_t content_generation_ = 0;
 };
 

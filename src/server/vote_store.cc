@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "util/hex.h"
 #include "util/logging.h"
@@ -20,12 +21,8 @@ using util::Status;
 
 SoftwareId IdFromHex(const std::string& hex) {
   SoftwareId id;
-  auto decoded = util::HexDecode(hex);
-  PISREP_CHECK(decoded.ok() && decoded->size() == id.bytes.size())
+  PISREP_CHECK(util::HexDecodeTo(hex, id.bytes))
       << "corrupt software id in vote store";
-  for (std::size_t i = 0; i < id.bytes.size(); ++i) {
-    id.bytes[i] = (*decoded)[i];
-  }
   return id;
 }
 
@@ -78,8 +75,8 @@ VoteStore::VoteStore(storage::Database* db) : db_(db) {
   // rows_ is insertion order, so rated_order_ matches what incremental
   // maintenance would have produced.
   ratings_->ForEach([this](const Row& row) {
-    const std::string& hex = row[2].AsStr();
-    if (votes_per_software_[hex]++ == 0) rated_order_.push_back(hex);
+    SoftwareId id = IdFromHex(row[2].AsStr());
+    if (votes_per_software_[id]++ == 0) rated_order_.push_back(id);
   });
 }
 
@@ -121,21 +118,20 @@ Status VoteStore::SubmitRating(const core::RatingRecord& record,
     // §2.1: "each user only votes for a software program exactly once."
     return Status::AlreadyExists("user already voted on this software");
   }
-  std::string software_hex = record.software.ToHex();
   PISREP_RETURN_IF_ERROR(ratings_->Insert(Row{
       Value::Str(key),
       Value::Int(record.user),
-      Value::Str(software_hex),
+      Value::Str(record.software.ToHex()),
       Value::Int(record.score),
       Value::Str(record.comment),
       Value::Int(record.submitted_at),
       Value::Boolean(approved),
       Value::Real(trust_snapshot),
   }));
-  if (votes_per_software_[software_hex]++ == 0) {
-    rated_order_.push_back(software_hex);
+  if (votes_per_software_[record.software]++ == 0) {
+    rated_order_.push_back(record.software);
   }
-  MarkDirty(software_hex);
+  MarkDirty(record.software);
   ++content_generation_;
   if (votes_metric_) votes_metric_->Increment();
   return Status::Ok();
@@ -153,7 +149,7 @@ std::vector<StoredRating> VoteStore::VotesForSoftware(
   // The reserve comes from the in-memory per-software counter, not
   // CountByIndex — counting through the facade would walk (and possibly
   // pread) every vote once before the real visit walks them again.
-  auto it = votes_per_software_.find(software.ToHex());
+  auto it = votes_per_software_.find(software);
   if (it == votes_per_software_.end()) return out;
   out.reserve(it->second);
   // ForEachByIndex materializes StoredRating straight from the table rows
@@ -253,7 +249,7 @@ Status VoteStore::SetApproved(core::UserId author,
   // Approval only gates comment visibility, not the score — but marking
   // dirty keeps the invalidation protocol simple ("any write to a
   // software's votes dirties it") at the cost of one redundant recompute.
-  MarkDirty(software.ToHex());
+  MarkDirty(software);
   ++content_generation_;
   return Status::Ok();
 }
@@ -299,30 +295,25 @@ std::int64_t VoteStore::RemarkBalance(core::UserId author,
 }
 
 std::vector<SoftwareId> VoteStore::RatedSoftware() const {
-  std::vector<SoftwareId> out;
-  out.reserve(rated_order_.size());
-  for (const std::string& hex : rated_order_) out.push_back(IdFromHex(hex));
-  return out;
+  return rated_order_;
 }
 
 std::size_t VoteStore::VoteCountFor(const SoftwareId& software) const {
-  auto it = votes_per_software_.find(software.ToHex());
+  auto it = votes_per_software_.find(software);
   return it == votes_per_software_.end() ? 0 : it->second;
 }
 
 std::vector<SoftwareId> VoteStore::TakeDirtySoftware() {
-  std::vector<SoftwareId> out;
-  out.reserve(dirty_order_.size());
-  for (const std::string& hex : dirty_order_) out.push_back(IdFromHex(hex));
+  std::vector<SoftwareId> out = std::move(dirty_order_);
   dirty_order_.clear();
   dirty_set_.clear();
   if (dirty_gauge_) dirty_gauge_->Set(0);
   return out;
 }
 
-void VoteStore::MarkDirty(const std::string& software_hex) {
-  if (dirty_set_.insert(software_hex).second) {
-    dirty_order_.push_back(software_hex);
+void VoteStore::MarkDirty(const SoftwareId& software) {
+  if (dirty_set_.insert(software).second) {
+    dirty_order_.push_back(software);
     if (dirty_gauge_) {
       dirty_gauge_->Set(static_cast<std::int64_t>(dirty_order_.size()));
     }

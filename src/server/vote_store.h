@@ -134,7 +134,7 @@ class VoteStore {
   static std::string CommentKey(core::UserId author,
                                 const core::SoftwareId& software);
 
-  void MarkDirty(const std::string& software_hex);
+  void MarkDirty(const core::SoftwareId& software);
 
   storage::Database* db_;
   /// Tier-aware facades (DESIGN.md §15): pass-throughs when the table is
@@ -144,12 +144,14 @@ class VoteStore {
   storage::TieredTable* remarks_;
   /// Distinct voted software, insertion-ordered + counted. Maintained by
   /// SubmitRating; seeded from the ratings table in the constructor so a
-  /// recovered database starts consistent.
-  std::vector<std::string> rated_order_;
-  std::unordered_map<std::string, std::size_t> votes_per_software_;
-  /// Dirty set for incremental aggregation (hex ids, first-touch order).
-  std::vector<std::string> dirty_order_;
-  std::unordered_set<std::string> dirty_set_;
+  /// recovered database starts consistent. Keyed by the binary id, so the
+  /// aggregation's per-target probes never render hex.
+  std::vector<core::SoftwareId> rated_order_;
+  std::unordered_map<core::SoftwareId, std::size_t, core::SoftwareIdHash>
+      votes_per_software_;
+  /// Dirty set for incremental aggregation (first-touch order).
+  std::vector<core::SoftwareId> dirty_order_;
+  std::unordered_set<core::SoftwareId, core::SoftwareIdHash> dirty_set_;
   std::uint64_t content_generation_ = 0;
 
   obs::Counter* votes_metric_ = nullptr;

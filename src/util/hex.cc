@@ -47,4 +47,15 @@ Result<std::vector<std::uint8_t>> HexDecode(std::string_view hex) {
   return out;
 }
 
+bool HexDecodeTo(std::string_view hex, std::span<std::uint8_t> out) {
+  if (hex.size() != out.size() * 2) return false;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    int hi = HexNibble(hex[2 * i]);
+    int lo = HexNibble(hex[2 * i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    out[i] = static_cast<std::uint8_t>((hi << 4) | lo);
+  }
+  return true;
+}
+
 }  // namespace pisrep::util

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,11 @@ std::string HexEncode(std::string_view data);
 /// Decodes a hex string (case-insensitive). Fails on odd length or non-hex
 /// characters.
 Result<std::vector<std::uint8_t>> HexDecode(std::string_view hex);
+
+/// Decodes `hex` into exactly `out.size()` bytes without allocating (the
+/// per-row id decode of the stores' scans). False on a length mismatch or
+/// a non-hex character; `out` is then unspecified.
+bool HexDecodeTo(std::string_view hex, std::span<std::uint8_t> out);
 
 }  // namespace pisrep::util
 

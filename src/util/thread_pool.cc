@@ -16,6 +16,11 @@ ThreadPool::ThreadPool(std::size_t workers) {
   }
 }
 
+ThreadPool& ThreadPool::Shared() {
+  static ThreadPool pool(std::thread::hardware_concurrency());
+  return pool;
+}
+
 ThreadPool::~ThreadPool() {
   {
     MutexLock lock(&mu_);
@@ -93,6 +98,15 @@ void ThreadPool::ParallelFor(
     }
   }
   if (first) std::rethrow_exception(first);
+}
+
+void ParallelForOn(ThreadPool* pool, std::size_t n,
+                   const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, body);
+  } else if (n > 0) {
+    body(0, n);
+  }
 }
 
 }  // namespace pisrep::util

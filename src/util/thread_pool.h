@@ -38,6 +38,13 @@ class ThreadPool {
 
   std::size_t size() const { return threads_.size(); }
 
+  /// The process-wide pool: one worker per hardware thread (at least one),
+  /// started by the first call. Every server in the process fans its daily
+  /// tick out over this one pool, so a process holding several servers
+  /// (a cluster's primaries and backups, a restarted primary) never holds
+  /// more workers than CPUs. Lives until static destruction.
+  static ThreadPool& Shared();
+
   /// Enqueues `task` and returns a future that becomes ready when it has
   /// run. An exception thrown by the task is captured and rethrown from
   /// `future.get()` on the caller's thread. Submitting to a pool whose
@@ -65,6 +72,12 @@ class ThreadPool {
   std::deque<std::packaged_task<void()>> queue_ GUARDED_BY(mu_);
   bool stopping_ GUARDED_BY(mu_) = false;
 };
+
+/// `pool->ParallelFor(n, body)`, or `body(0, n)` on the calling thread
+/// when `pool` is null: the one call for phases whose pool is optional.
+void ParallelForOn(ThreadPool* pool, std::size_t n,
+                   const std::function<void(std::size_t begin,
+                                            std::size_t end)>& body);
 
 }  // namespace pisrep::util
 

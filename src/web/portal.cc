@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/rating_aggregator.h"
 #include "obs/export.h"
 #include "util/hex.h"
 #include "util/string_util.h"
@@ -69,25 +70,12 @@ server::ReputationServer* WebPortal::OwnerOf(const SoftwareId& id) const {
 Result<core::VendorScore> WebPortal::MergedVendorScore(
     const std::vector<server::ReputationServer*>& shards,
     const core::VendorId& vendor) const {
-  double weighted_sum = 0.0;
-  int total_count = 0;
-  util::TimePoint computed_at = 0;
+  std::vector<core::VendorScore> legs;
   for (server::ReputationServer* shard : shards) {
     auto leg = shard->registry().GetVendorScore(vendor);
-    if (!leg.ok() || leg->software_count <= 0) continue;
-    weighted_sum += leg->score * leg->software_count;
-    total_count += leg->software_count;
-    computed_at = std::max(computed_at, leg->computed_at);
+    if (leg.ok()) legs.push_back(*std::move(leg));
   }
-  if (total_count == 0) {
-    return Status::NotFound("vendor has no scored software");
-  }
-  core::VendorScore merged;
-  merged.vendor = vendor;
-  merged.score = weighted_sum / total_count;
-  merged.software_count = total_count;
-  merged.computed_at = computed_at;
-  return merged;
+  return core::RatingAggregator::MergeVendor(vendor, legs);
 }
 
 std::string WebPortal::UrlDecode(std::string_view encoded) {

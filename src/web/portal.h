@@ -87,8 +87,9 @@ class WebPortal {
   std::vector<server::ReputationServer*> Shards() const;
   /// The shard whose registry holds `id`, or null.
   server::ReputationServer* OwnerOf(const core::SoftwareId& id) const;
-  /// Cross-shard vendor mean, weighted by per-shard software counts (the
-  /// same merge the cluster router serves over RPC).
+  /// Cross-shard vendor mean, weighted by per-shard software counts
+  /// (core::RatingAggregator::MergeVendor, the merge the cluster router
+  /// serves over RPC).
   util::Result<core::VendorScore> MergedVendorScore(
       const std::vector<server::ReputationServer*>& shards,
       const core::VendorId& vendor) const;

@@ -713,10 +713,9 @@ TEST(ClusterEquivalence, RoutedVendorQueryMatchesTheNativeMerge) {
     ASSERT_NE(node, nullptr);
     auto native = h.cluster()->MergedVendorScore(StrFormat("vendor-%d", v));
     ASSERT_TRUE(native.ok());
-    auto wire_score = util::ParseDouble(node->AttributeOr("score", ""));
-    ASSERT_TRUE(wire_score.ok());
-    // The wire value is %.6f-rounded; compare at that precision.
-    EXPECT_NEAR(*wire_score, native->score, 1e-4);
+    // The router merges the exact partials: the %.6f strings agree.
+    EXPECT_EQ(node->AttributeOr("score", ""),
+              StrFormat("%.6f", native->score));
     EXPECT_EQ(node->AttributeOr("count", ""),
               std::to_string(native->software_count));
   }
@@ -1389,8 +1388,8 @@ std::string NativeVendorNode(Harness& h, const std::string& vendor) {
 }
 
 /// Checks a routed answer's vendor node against MergedVendorScore: same
-/// name and count, and the score within one unit of the sixth decimal,
-/// since the router merges the shards' %.6f-rendered partials.
+/// name, count and %.6f score string, since the router merges the shards'
+/// exact partials through the same function.
 void ExpectNativeVendor(Harness& h, const XmlNode& answer,
                         const std::string& vendor, const std::string& label) {
   auto merged = h.cluster()->MergedVendorScore(vendor);
@@ -1401,9 +1400,9 @@ void ExpectNativeVendor(Harness& h, const XmlNode& answer,
   EXPECT_EQ(node->AttributeOr("count", ""),
             std::to_string(merged->software_count))
       << label;
-  auto score = util::ParseDouble(node->AttributeOr("score", ""));
-  ASSERT_TRUE(score.ok()) << label;
-  EXPECT_NEAR(*score, merged->score, 1.5e-6) << label;
+  EXPECT_EQ(node->AttributeOr("score", ""),
+            StrFormat("%.6f", merged->score))
+      << label;
 }
 
 /// The serialized <vendor> node of a routed answer, empty when it has none.

@@ -14,6 +14,7 @@
 #include "sim/attacks.h"
 #include "storage/database.h"
 #include "util/sha1.h"
+#include "util/thread_pool.h"
 #include "xml/xml_writer.h"
 
 namespace pisrep::server {
@@ -815,6 +816,68 @@ TEST_F(ServerTest, SnapshotEntryMatchesTheLiveRenderByteForByte) {
     EXPECT_EQ(Render(LookupSnapshotInfo(*snapshot, id)),
               LiveRender(*server_, id));
   }
+
+  // Scheduled ticks on a store large enough to split: the run and the
+  // render fan out over the process-wide pool, and every entry still
+  // equals the live render. Every fourth title stays without votes.
+  std::vector<SoftwareMeta> catalogue;
+  for (std::size_t i = 0; i < AggregationJob::kTickSplitTitles; ++i) {
+    SoftwareMeta title = TestMeta("split" + std::to_string(i),
+                                  "Vendor" + std::to_string(i % 7));
+    if (i % 4 == 3) {
+      ASSERT_TRUE(server_->registry().RegisterSoftware(title).ok());
+    } else {
+      ASSERT_TRUE(server_
+                      ->SubmitRating(s1, title, 1 + static_cast<int>(i % 10),
+                                     "take " + std::to_string(i),
+                                     core::kNoBehaviors, 0)
+                      .ok());
+    }
+    catalogue.push_back(std::move(title));
+  }
+  auto expect_every_entry_live = [&] {
+    std::shared_ptr<const ScoreSnapshot> published =
+        server_->CurrentSnapshot();
+    ASSERT_EQ(published->by_software.size(),
+              server_->registry().SoftwareCount());
+    for (const SoftwareId& id : server_->registry().AllSoftware()) {
+      EXPECT_EQ(Render(LookupSnapshotInfo(*published, id)),
+                LiveRender(*server_, id))
+          << id.ToHex();
+    }
+  };
+  loop_.RunUntil(kDay);
+  EXPECT_EQ(server_->aggregation().runs(), 2u);
+  EXPECT_EQ(server_->aggregation().last_stats().shards > 1,
+            util::ThreadPool::Shared().size() > 1);
+  expect_every_entry_live();
+
+  // The next tick recomputes Vendor0 through one vote on one of its titles;
+  // the entries of its other titles, unvoted this tick, must carry the new
+  // vendor score.
+  auto vendor_before = server_->registry().GetVendorScore("Vendor0");
+  ASSERT_TRUE(vendor_before.ok());
+  ASSERT_TRUE(server_
+                  ->SubmitRating(s2, catalogue[0], 10, "", core::kNoBehaviors,
+                                 kDay)
+                  .ok());
+  loop_.RunUntil(2 * kDay);
+  EXPECT_EQ(server_->aggregation().last_stats().recomputed, 1u);
+  auto vendor_after = server_->registry().GetVendorScore("Vendor0");
+  ASSERT_TRUE(vendor_after.ok());
+  EXPECT_NE(vendor_after->score, vendor_before->score);
+  const SoftwareId& sibling = catalogue[7].id;  // Vendor0, not voted today
+  std::shared_ptr<const ScoreSnapshot> published = server_->CurrentSnapshot();
+  const SoftwareInfo entry = LookupSnapshotInfo(*published, sibling);
+  ASSERT_TRUE(entry.vendor_score.has_value());
+  EXPECT_EQ(entry.vendor_score->score, vendor_after->score);
+  // A registered title without votes (every fourth) and one with reported
+  // behaviours, among all the others.
+  EXPECT_FALSE(
+      LookupSnapshotInfo(*published, catalogue[3].id).score.has_value());
+  EXPECT_NE(LookupSnapshotInfo(*published, meta.id).reported_behaviors,
+            core::kNoBehaviors);
+  expect_every_entry_live();
 }
 
 TEST_F(ServerTest, RunOnlyDigestsAppearInSnapshot) {
