@@ -30,10 +30,8 @@ SafetyLists::SafetyLists(storage::Database* db) : db_(db) {
   table_ = db_->GetTable("safety_lists").value();
   // Load persisted state.
   table_->ForEach([this](const Row& row) {
-    auto bytes = util::HexDecode(row[0].AsStr());
-    if (!bytes.ok() || bytes->size() != 20) return;
     core::SoftwareId id;
-    for (std::size_t i = 0; i < 20; ++i) id.bytes[i] = (*bytes)[i];
+    if (!util::HexDecodeTo(row[0].AsStr(), id.bytes)) return;
     if (row[1].AsInt() == kWhite) {
       whitelist_.insert(id);
     } else if (row[1].AsInt() == kBlack) {

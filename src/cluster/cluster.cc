@@ -54,13 +54,10 @@ std::string RoutingHexOf(std::string_view table,
 }
 
 Result<util::Sha1Digest> DigestFromHex(const std::string& hex) {
-  auto bytes = util::HexDecode(hex);
-  if (!bytes.ok()) return bytes.status();
-  if (bytes->size() != 20) {
+  util::Sha1Digest digest;
+  if (!util::HexDecodeTo(hex, digest.bytes)) {
     return Status::InvalidArgument("routing hex is not a SHA-1 digest");
   }
-  util::Sha1Digest digest;
-  std::copy(bytes->begin(), bytes->end(), digest.bytes.begin());
   return digest;
 }
 }  // namespace

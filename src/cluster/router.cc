@@ -41,13 +41,9 @@ Result<util::Sha1Digest> RoutingDigestOf(const std::string& method,
   } else {
     hex = request.ChildText("id").value_or("");
   }
-  auto bytes = util::HexDecode(hex);
   util::Sha1Digest digest;
-  if (!bytes.ok() || bytes->size() != digest.bytes.size()) {
+  if (!util::HexDecodeTo(hex, digest.bytes)) {
     return Status::InvalidArgument("request without a valid software id");
-  }
-  for (std::size_t i = 0; i < digest.bytes.size(); ++i) {
-    digest.bytes[i] = (*bytes)[i];
   }
   return digest;
 }

@@ -1,8 +1,16 @@
 #include "core/types.h"
 
+#include "util/hex.h"
+
 namespace pisrep::core {
 
-// Header-only value types; this translation unit exists so the target always
-// has at least one object file and to anchor future out-of-line helpers.
+util::Result<SoftwareId> SoftwareIdFromHex(std::string_view hex) {
+  SoftwareId id;
+  if (!util::HexDecodeTo(hex, id.bytes)) {
+    return util::Status::InvalidArgument(
+        "software id must be 40 hex characters");
+  }
+  return id;
+}
 
 }  // namespace pisrep::core

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/clock.h"
 #include "util/sha1.h"
+#include "util/status.h"
 
 namespace pisrep::core {
 
@@ -14,6 +16,9 @@ namespace pisrep::core {
 /// ratings can never follow a behaviourally-different binary.
 using SoftwareId = util::Sha1Digest;
 using SoftwareIdHash = util::Sha1DigestHash;
+
+/// Parses a 40-hex-character SHA-1 (either case) into a SoftwareId.
+util::Result<SoftwareId> SoftwareIdFromHex(std::string_view hex);
 
 /// Server-assigned account identifier.
 using UserId = std::int64_t;

@@ -71,13 +71,9 @@ util::Result<FeedEntry> FeedEntryFromXml(const xml::XmlNode& node) {
   // the binary the caller just named, so older servers omit it.
   if (node.HasAttribute("software")) {
     PISREP_ASSIGN_OR_RETURN(std::string hex, node.Attribute("software"));
-    PISREP_ASSIGN_OR_RETURN(auto bytes, util::HexDecode(hex));
-    if (bytes.size() != entry.software.bytes.size()) {
+    if (!util::HexDecodeTo(hex, entry.software.bytes)) {
       return util::Status::InvalidArgument(
           "feed entry software id must be 40 hex characters");
-    }
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      entry.software.bytes[i] = bytes[i];
     }
   }
   PISREP_ASSIGN_OR_RETURN(

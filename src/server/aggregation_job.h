@@ -99,16 +99,17 @@ class AggregationJob {
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// Registered titles from which a job under FanOutOnSharedPool splits a
-  /// run. Below it a run stays on the calling thread and starts no
-  /// thread: a title costs about 10–30 µs across the tick's phases, so a
-  /// split of a few hundred titles saves less than handing chunks to the
-  /// workers costs, and the many small servers tests build would each
-  /// start the pool.
+  /// run; below it the run stays on the calling thread and starts no
+  /// thread. This is not where the pooled tick starts to win: it already
+  /// does at 128 titles. It keeps small processes, such as the test
+  /// binaries `ctest -j` runs side by side, free of threads, because
+  /// fanning out also costs the rest of the process, and below this size
+  /// an inline tick takes tens of milliseconds at most (DESIGN §9.2).
   static constexpr std::size_t kTickSplitTitles = 512;
 
   /// How a server wires its job: with no pool attached, every run over a
   /// store of at least kTickSplitTitles titles fans out over
-  /// util::ThreadPool::Shared(), which the first such run creates.
+  /// util::ThreadPool::Shared(), whose threads live for one fan-out.
   void FanOutOnSharedPool() { fan_out_shared_ = true; }
 
   /// The pool a run started now fans out over (null: inline): the

@@ -42,13 +42,8 @@ Result<std::size_t> BootstrapImporter::ImportCsv(std::string_view csv) {
                                      std::string(line));
     }
     BootstrapRecord record;
-    PISREP_ASSIGN_OR_RETURN(auto digest_bytes, util::HexDecode(fields[0]));
-    if (digest_bytes.size() != record.meta.id.bytes.size()) {
-      return Status::InvalidArgument("bad digest length in: " +
-                                     std::string(line));
-    }
-    for (std::size_t i = 0; i < digest_bytes.size(); ++i) {
-      record.meta.id.bytes[i] = digest_bytes[i];
+    if (!util::HexDecodeTo(fields[0], record.meta.id.bytes)) {
+      return Status::InvalidArgument("bad digest in: " + std::string(line));
     }
     record.meta.file_name = fields[1];
     PISREP_ASSIGN_OR_RETURN(record.meta.file_size,

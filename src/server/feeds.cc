@@ -16,12 +16,8 @@ using util::Status;
 FeedEntry EntryFromRow(const Row& row) {
   FeedEntry entry;
   entry.feed = row[1].AsStr();
-  auto digest = util::HexDecode(row[2].AsStr());
-  PISREP_CHECK(digest.ok() && digest->size() == entry.software.bytes.size())
+  PISREP_CHECK(util::HexDecodeTo(row[2].AsStr(), entry.software.bytes))
       << "corrupt software id in feed store";
-  for (std::size_t i = 0; i < digest->size(); ++i) {
-    entry.software.bytes[i] = (*digest)[i];
-  }
   entry.score = row[3].AsReal();
   auto behaviors = core::BehaviorSetFromString(row[4].AsStr());
   entry.behaviors = behaviors.ok() ? *behaviors : core::kNoBehaviors;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/clock.h"
-#include "util/hex.h"
 #include "util/hmac.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -14,19 +13,10 @@ namespace pisrep::server {
 namespace {
 
 using core::SoftwareId;
+using core::SoftwareIdFromHex;
 using util::Result;
 using util::Status;
 using xml::XmlNode;
-
-Result<SoftwareId> SoftwareIdFromHex(std::string_view hex) {
-  SoftwareId id;
-  PISREP_ASSIGN_OR_RETURN(auto bytes, util::HexDecode(hex));
-  if (bytes.size() != id.bytes.size()) {
-    return Status::InvalidArgument("software id must be 40 hex characters");
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) id.bytes[i] = bytes[i];
-  return id;
-}
 
 Result<core::SoftwareMeta> MetaFromXml(const XmlNode& node) {
   core::SoftwareMeta meta;

@@ -35,7 +35,7 @@ ManifestStore::ManifestStore(storage::Database* db) : db_(db) {
   Index loaded;
   auto scan = db_->ForEachRow(kTable, [&loaded](const Row& row) {
     SoftwareManifest manifest;
-    auto id = SoftwareIdFromHex(row[0].AsStr());
+    auto id = core::SoftwareIdFromHex(row[0].AsStr());
     if (!id.ok()) return;
     manifest.software = *id;
     manifest.vendor = row[1].AsStr();

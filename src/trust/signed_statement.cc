@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "util/hex.h"
 #include "util/string_util.h"
 
 namespace pisrep::trust {
@@ -10,7 +9,6 @@ namespace pisrep::trust {
 namespace {
 
 using util::Result;
-using util::Status;
 using xml::XmlNode;
 
 constexpr char kFieldSep = '\x1f';
@@ -19,16 +17,6 @@ constexpr char kFieldSep = '\x1f';
 
 std::string RenderScore(double score) {
   return util::StrFormat("%.2f", score);
-}
-
-util::Result<core::SoftwareId> SoftwareIdFromHex(std::string_view hex) {
-  core::SoftwareId id;
-  PISREP_ASSIGN_OR_RETURN(auto bytes, util::HexDecode(hex));
-  if (bytes.size() != id.bytes.size()) {
-    return Status::InvalidArgument("software id must be 40 hex characters");
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) id.bytes[i] = bytes[i];
-  return id;
 }
 
 std::string ManifestMessage(const SoftwareManifest& manifest) {
@@ -71,7 +59,7 @@ Result<SoftwareManifest> ManifestFromXml(const XmlNode& node) {
   manifest.file_name = node.AttributeOr("file_name", "");
   manifest.version = node.AttributeOr("version", "");
   PISREP_ASSIGN_OR_RETURN(std::string hex, node.Attribute("software"));
-  PISREP_ASSIGN_OR_RETURN(manifest.software, SoftwareIdFromHex(hex));
+  PISREP_ASSIGN_OR_RETURN(manifest.software, core::SoftwareIdFromHex(hex));
   PISREP_ASSIGN_OR_RETURN(std::string sig, node.Attribute("sig"));
   PISREP_ASSIGN_OR_RETURN(std::int64_t parsed, util::ParseInt64(sig));
   manifest.signature = static_cast<crypto::Signature>(parsed);
@@ -125,7 +113,7 @@ Result<ExpertAdvisory> AdvisoryFromXml(const XmlNode& node) {
   ExpertAdvisory advisory;
   PISREP_ASSIGN_OR_RETURN(advisory.expert, node.Attribute("expert"));
   PISREP_ASSIGN_OR_RETURN(std::string hex, node.Attribute("software"));
-  PISREP_ASSIGN_OR_RETURN(advisory.software, SoftwareIdFromHex(hex));
+  PISREP_ASSIGN_OR_RETURN(advisory.software, core::SoftwareIdFromHex(hex));
   advisory.flagged = node.AttributeOr("flagged", "0") == "1";
   // Re-parsing then re-rendering the score must reproduce the signed
   // string, which RenderScore's fixed "%.2f" form guarantees.

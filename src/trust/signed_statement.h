@@ -77,9 +77,6 @@ util::Result<ExpertAdvisory> AdvisoryFromXml(const xml::XmlNode& node);
 /// float formatting can never make a signature fail to round-trip).
 std::string RenderScore(double score);
 
-/// Parses a 40-hex-character SHA-1 into a SoftwareId.
-util::Result<core::SoftwareId> SoftwareIdFromHex(std::string_view hex);
-
 }  // namespace pisrep::trust
 
 #endif  // PISREP_TRUST_SIGNED_STATEMENT_H_

@@ -8,16 +8,18 @@
 
 namespace pisrep::util {
 
-ThreadPool::ThreadPool(std::size_t workers) {
-  std::size_t count = std::max<std::size_t>(1, workers);
-  threads_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+ThreadPool::ThreadPool(std::size_t workers, bool resident)
+    : width_(std::max<std::size_t>(1, workers)), resident_(resident) {
+  if (!resident_) return;
+  threads_.reserve(width_);
+  for (std::size_t i = 0; i < width_; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(std::thread::hardware_concurrency());
+  static ThreadPool pool(std::thread::hardware_concurrency(),
+                         /*resident=*/false);
   return pool;
 }
 
@@ -48,6 +50,7 @@ void ThreadPool::WorkerLoop() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> task) {
+  PISREP_CHECK(resident_) << "Submit on a ThreadPool without workers";
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
   {
@@ -68,7 +71,7 @@ void ThreadPool::ParallelFor(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  std::size_t shards = std::min(n, threads_.size());
+  std::size_t shards = std::min(n, width_);
   if (shards <= 1) {
     body(0, n);
     return;
@@ -76,12 +79,21 @@ void ThreadPool::ParallelFor(
   std::size_t chunk = (n + shards - 1) / shards;
   std::vector<std::future<void>> pending;
   pending.reserve(shards - 1);
+  // Without resident workers each chunk gets its own thread; a jthread
+  // joins on scope exit, so even a failed spawn leaves none running.
+  std::vector<std::jthread> spawned;
   for (std::size_t s = 1; s < shards; ++s) {
     std::size_t begin = s * chunk;
     std::size_t end = std::min(n, begin + chunk);
     if (begin >= end) break;
-    pending.push_back(
-        Submit([&body, begin, end] { body(begin, end); }));
+    std::function<void()> run = [&body, begin, end] { body(begin, end); };
+    if (resident_) {
+      pending.push_back(Submit(std::move(run)));
+    } else {
+      std::packaged_task<void()> task(std::move(run));
+      pending.push_back(task.get_future());
+      spawned.emplace_back(std::move(task));
+    }
   }
   // The calling thread takes the first chunk instead of idling.
   std::exception_ptr first;

@@ -25,10 +25,13 @@ namespace pisrep::util {
 /// Shutdown is clean and drains: the destructor lets every already-queued
 /// task run to completion before joining the workers, so `Submit` followed
 /// by destruction never silently drops work.
+///
+/// Shared() is the one pool without resident workers: each ParallelFor on
+/// it starts its threads and joins them before returning.
 class ThreadPool {
  public:
   /// Spawns `workers` threads. At least one worker is always created.
-  explicit ThreadPool(std::size_t workers);
+  explicit ThreadPool(std::size_t workers) : ThreadPool(workers, true) {}
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -36,19 +39,23 @@ class ThreadPool {
   /// Drains the queue, then joins every worker.
   ~ThreadPool();
 
-  std::size_t size() const { return threads_.size(); }
+  /// How many chunks a ParallelFor splits into at most.
+  std::size_t size() const { return width_; }
 
-  /// The process-wide pool: one worker per hardware thread (at least one),
-  /// started by the first call. Every server in the process fans its daily
-  /// tick out over this one pool, so a process holding several servers
-  /// (a cluster's primaries and backups, a restarted primary) never holds
-  /// more workers than CPUs. Lives until static destruction.
+  /// The process-wide pool, as wide as the host has hardware threads (at
+  /// least one). Every server in the process fans its daily tick out over
+  /// it. It keeps no worker: a ParallelFor runs its first chunk on the
+  /// caller and every other chunk on a thread started for that call, and
+  /// joins them all before returning, so between ticks the process holds
+  /// no extra thread. Resident idle workers cost the serving path of a
+  /// one-process cluster more than per-call threads do (DESIGN §9.2).
+  /// Submit on it is a programming error.
   static ThreadPool& Shared();
 
   /// Enqueues `task` and returns a future that becomes ready when it has
   /// run. An exception thrown by the task is captured and rethrown from
   /// `future.get()` on the caller's thread. Submitting to a pool whose
-  /// destructor has started is a programming error.
+  /// destructor has started, or to Shared(), is a programming error.
   std::future<void> Submit(std::function<void()> task) EXCLUDES(mu_);
 
   /// Splits [0, n) into at most size() contiguous chunks and runs
@@ -63,9 +70,15 @@ class ThreadPool {
                                             std::size_t end)>& body);
 
  private:
+  /// `resident`: start `workers` threads now (false: Shared()'s per-call
+  /// threads).
+  ThreadPool(std::size_t workers, bool resident);
+
   void WorkerLoop() EXCLUDES(mu_);
 
   /// Written once in the constructor, then only read — no lock needed.
+  std::size_t width_;
+  bool resident_;
   std::vector<std::thread> threads_;
   Mutex mu_;
   CondVar cv_;

@@ -39,16 +39,6 @@ std::string ScoreText(const core::SoftwareScore& score) {
   return StrFormat("%.1f/10 (%d votes)", score.score, score.vote_count);
 }
 
-Result<SoftwareId> ParseIdHex(std::string_view hex) {
-  SoftwareId id;
-  PISREP_ASSIGN_OR_RETURN(auto bytes, util::HexDecode(hex));
-  if (bytes.size() != id.bytes.size()) {
-    return Status::InvalidArgument("software id must be 40 hex characters");
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) id.bytes[i] = bytes[i];
-  return id;
-}
-
 }  // namespace
 
 std::vector<server::ReputationServer*> WebPortal::Shards() const {
@@ -110,7 +100,7 @@ Result<std::string> WebPortal::Handle(std::string_view path) const {
   if (path == "/metrics.json") return MetricsPage(/*json=*/true);
   if (util::StartsWith(path, "/software/")) {
     PISREP_ASSIGN_OR_RETURN(SoftwareId id,
-                            ParseIdHex(path.substr(strlen("/software/"))));
+                            core::SoftwareIdFromHex(path.substr(strlen("/software/"))));
     return SoftwarePage(id);
   }
   if (util::StartsWith(path, "/vendor/")) {

@@ -71,31 +71,46 @@ TEST(ThreadPoolTest, ParallelForSizeOneRunsInline) {
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
-  for (std::size_t n : {1u, 2u, 3u, 7u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    pool.ParallelFor(n, [&](std::size_t begin, std::size_t end) {
-      ASSERT_LE(begin, end);
-      ASSERT_LE(end, n);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 1) << "n=" << n << " i=" << i;
+  // Shared() keeps no workers: its chunks run on threads started per call.
+  for (ThreadPool* p : {&pool, &ThreadPool::Shared()}) {
+    for (std::size_t n : {1u, 2u, 3u, 7u, 64u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      p->ParallelFor(n, [&](std::size_t begin, std::size_t end) {
+        ASSERT_LE(begin, end);
+        ASSERT_LE(end, n);
+        for (std::size_t i = begin; i < end; ++i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 1)
+            << "n=" << n << " i=" << i;
+      }
     }
   }
 }
 
 TEST(ThreadPoolTest, ParallelForPropagatesChunkException) {
   ThreadPool pool(4);
-  std::atomic<std::size_t> visited{0};
-  EXPECT_THROW(
-      pool.ParallelFor(100,
-                       [&](std::size_t begin, std::size_t end) {
-                         visited.fetch_add(end - begin, std::memory_order_relaxed);
-                         if (begin == 0) throw std::runtime_error("chunk 0");
-                       }),
-      std::runtime_error);
-  // No partial abandonment: every chunk was attempted before the rethrow.
-  EXPECT_EQ(visited.load(std::memory_order_relaxed), 100u);
+  for (ThreadPool* p : {&pool, &ThreadPool::Shared()}) {
+    // The caller's chunk throws, then (when there are workers) another.
+    for (std::size_t thrower : {0u, p->size() > 1 ? 50u : 0u}) {
+      std::atomic<std::size_t> visited{0};
+      EXPECT_THROW(p->ParallelFor(100,
+                                  [&](std::size_t begin, std::size_t end) {
+                                    visited.fetch_add(
+                                        end - begin,
+                                        std::memory_order_relaxed);
+                                    if (begin <= thrower && thrower < end) {
+                                      throw std::runtime_error("chunk");
+                                    }
+                                  }),
+                   std::runtime_error);
+      // No partial abandonment: every chunk was attempted before the
+      // rethrow.
+      EXPECT_EQ(visited.load(std::memory_order_relaxed), 100u);
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForUsableAfterException) {
