@@ -1,13 +1,16 @@
 // Ablation A4: cost of score aggregation — the paper's recompute-everything
 // 24-hour job (§3.2) versus the incremental dirty-set recompute, and the
-// single-threaded versus thread-pool compute fan-out — plus the snapshot
-// publish that follows a server's run, rendered inline and on the pool.
+// inline versus fanned-out compute — plus the snapshot publish that follows
+// a server's run, rendered inline and fanned out. The fan-out is the one a
+// server's tick runs (util::ParallelFor: threads started per call),
+// kWorkers wide.
 //
 // Emits BENCH_aggregation.json at the repo root (bench_util.h OutputPath). `--smoke` runs
 // only the smallest size with correctness self-checks (used by the
-// `bench-smoke` ctest label); every size checks that the pooled snapshot
-// is byte-identical to the inline one, and the full run also self-checks
-// that the incremental path delivers an order-of-magnitude win at scale.
+// `bench-smoke` ctest label); every size checks that the fanned-out
+// snapshot is byte-identical to the inline one, and the full run also
+// self-checks that the incremental path delivers an order-of-magnitude win
+// at scale.
 
 #include <cstdio>
 #include <cstring>
@@ -29,7 +32,6 @@
 #include "util/clock.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "xml/xml_writer.h"
 
 namespace pisrep::bench {
@@ -168,13 +170,13 @@ class Fixture {
     return true;
   }
 
-  /// The snapshot a server would publish now, rendered on `pool` (null:
+  /// The snapshot a server would publish now, rendered `width` wide (1:
   /// inline).
   std::shared_ptr<const server::ScoreSnapshot> Snapshot(
-      util::ThreadPool* pool) const {
+      std::size_t width) const {
     return server::BuildScoreSnapshot(*registry_, *votes_,
                                       server::SnapshotBuildOptions{},
-                                      /*epoch=*/1, 2 * util::kDay, pool);
+                                      /*epoch=*/1, 2 * util::kDay, width);
   }
 
   /// Every entry's wire bytes in registry order, then the vendor table.
@@ -215,15 +217,17 @@ SizeResult RunSize(std::size_t votes) {
   result.programs = fx.programs();
   result.users = fx.users();
 
-  // Full sweep, single-threaded (the paper's §3.2 job).
+  // Full sweep, single-threaded (the paper's §3.2 job). The serial columns
+  // pin width 1: from AggregationJob::kTickSplitTitles titles the job
+  // would otherwise fan out.
+  fx.job().set_fan_out_width(1);
   WallTimer timer;
   fx.job().RunOnce(util::kDay, /*full_sweep=*/true);
   result.full_single_micros = timer.ElapsedMicros();
   std::vector<core::SoftwareScore> single = fx.SnapshotScores();
 
-  // Full sweep again, fanned over the thread pool; must be bit-identical.
-  util::ThreadPool pool(kWorkers);
-  fx.job().set_thread_pool(&pool);
+  // Full sweep again, fanned out kWorkers wide; must be bit-identical.
+  fx.job().set_fan_out_width(kWorkers);
   timer.Reset();
   fx.job().RunOnce(util::kDay, /*full_sweep=*/true);
   result.full_parallel_micros = timer.ElapsedMicros();
@@ -234,7 +238,7 @@ SizeResult RunSize(std::size_t votes) {
   }
 
   // Incremental: 1% of programs dirtied, single-threaded recompute.
-  fx.job().set_thread_pool(nullptr);
+  fx.job().set_fan_out_width(1);
   fx.DirtyOnePercent();
   timer.Reset();
   fx.job().RunOnce(2 * util::kDay);
@@ -259,16 +263,16 @@ SizeResult RunSize(std::size_t votes) {
   }
 
   // The publish a server runs after every aggregation: the whole snapshot
-  // rendered inline, then on the pool; both must be byte-identical.
+  // rendered inline, then fanned out; both must be byte-identical.
   timer.Reset();
-  auto inline_snapshot = fx.Snapshot(nullptr);
+  auto inline_snapshot = fx.Snapshot(1);
   result.snapshot_single_micros = timer.ElapsedMicros();
   timer.Reset();
-  auto pooled_snapshot = fx.Snapshot(&pool);
+  auto fanned_snapshot = fx.Snapshot(kWorkers);
   result.snapshot_parallel_micros = timer.ElapsedMicros();
   if (fx.SnapshotBytes(*inline_snapshot) !=
-      fx.SnapshotBytes(*pooled_snapshot)) {
-    std::fprintf(stderr, "FAIL: pooled snapshot diverged from inline\n");
+      fx.SnapshotBytes(*fanned_snapshot)) {
+    std::fprintf(stderr, "FAIL: fanned-out snapshot diverged from inline\n");
     std::exit(1);
   }
 
@@ -294,7 +298,7 @@ void WriteJson(const std::vector<SizeResult>& results, bool smoke) {
     std::exit(1);
   }
   std::fprintf(out, "{\n  \"benchmark\": \"incremental_aggregation\",\n");
-  // Honesty flag: with fewer host cpus than pool workers the
+  // Honesty flag: with fewer host cpus than the fan-out is wide the
   // parallel_speedup column measures scheduling overhead, not speedup —
   // downstream tooling must not quote it as one.
   unsigned host_cpus = std::thread::hardware_concurrency();
@@ -345,11 +349,12 @@ int Main(bool smoke) {
             : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
   unsigned host_cpus = std::thread::hardware_concurrency();
   if (host_cpus < 2) {
-    // The pool still runs (and its output is still checked bit-identical),
-    // but its timing column can only measure scheduling overhead here.
+    // The fan-out still runs (and its output is still checked
+    // bit-identical), but its timing column can only measure scheduling
+    // overhead here.
     std::printf(
-        "  note: host reports %u cpu(s); the parallel column measures pool "
-        "overhead, not speedup\n",
+        "  note: host reports %u cpu(s); the parallel column measures "
+        "fan-out overhead, not speedup\n",
         host_cpus);
   }
   std::vector<SizeResult> results;

@@ -336,7 +336,7 @@ ShardCluster::ShardCluster(net::SimNetwork* network, net::EventLoop* loop,
   for (int i = 0; i < config_.num_shards; ++i) {
     std::string name = config_.name_prefix + std::to_string(next_ordinal_++);
     ring_.AddShard(name);
-    shards_.push_back(MakeShard(name, i));
+    shards_.push_back(MakeShard(name));
   }
   if (obs::MetricsRegistry* metrics = config_.server.metrics) {
     failovers_metric_ = metrics->GetCounter("pisrep_cluster_failovers_total");
@@ -350,18 +350,9 @@ ShardCluster::ShardCluster(net::SimNetwork* network, net::EventLoop* loop,
 
 ShardCluster::~ShardCluster() = default;
 
-std::unique_ptr<ShardNode> ShardCluster::MakeShard(const std::string& name,
-                                                   int tuning_index) {
-  server::ReputationServer::Config shard_config = config_.server;
-  if (tuning_index >= 0 &&
-      tuning_index < static_cast<int>(config_.tuning.size())) {
-    const ShardTuning& tuning =
-        config_.tuning[static_cast<std::size_t>(tuning_index)];
-    shard_config.aggregation_full_sweep_every = tuning.full_sweep_every;
-    shard_config.aggregation_force_full_sweep = tuning.force_full_sweep;
-  }
+std::unique_ptr<ShardNode> ShardCluster::MakeShard(const std::string& name) {
   return std::make_unique<ShardNode>(
-      network_, loop_, name, std::move(shard_config), config_.replication,
+      network_, loop_, name, config_.server, config_.replication,
       &ring_, config_.gossip, config_.anti_entropy,
       [this](const std::string& dead) { return OnGossipDeath(dead); });
 }
@@ -521,7 +512,7 @@ Result<std::string> ShardCluster::AddShard() {
     }
   }
   std::string name = config_.name_prefix + std::to_string(next_ordinal_++);
-  std::unique_ptr<ShardNode> node = MakeShard(name, -1);
+  std::unique_ptr<ShardNode> node = MakeShard(name);
   ShardNode* raw = node.get();
   // Start it *before* joining the ring: until the membership changes the
   // ownership guard redirects every digest-routed request away from it,

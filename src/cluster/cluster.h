@@ -26,15 +26,6 @@ inline constexpr std::string_view kApplyRemarkMethod = "ClusterApplyRemark";
 /// detector proper is the gossip plane).
 inline constexpr std::string_view kPingMethod = "ClusterPing";
 
-/// Per-shard overrides of the aggregation cadence (the per-shard config
-/// knobs of ReputationServer::Config): a small shard can afford to sweep
-/// fully every run, a big one cannot.
-struct ShardTuning {
-  std::uint64_t full_sweep_every =
-      server::AggregationJob::kDefaultFullSweepEvery;
-  bool force_full_sweep = false;
-};
-
 struct ClusterConfig {
   int num_shards = 2;
   /// Shard i's service address is "<name_prefix><i>" — stable across
@@ -42,18 +33,14 @@ struct ClusterConfig {
   /// Shards added later continue the ordinal sequence.
   std::string name_prefix = "shard";
   int vnodes_per_shard = 64;
-  /// Template for every shard's server; per-shard ShardTuning overrides
-  /// layer on top. `accounts.deterministic_tokens` is forced on — cluster
-  /// sessions and activation tokens must validate on every shard and
-  /// survive a failover.
+  /// Template for every shard's server. `accounts.deterministic_tokens` is
+  /// forced on — cluster sessions and activation tokens must validate on
+  /// every shard and survive a failover.
   server::ReputationServer::Config server;
   /// R/W tuning: each shard keeps replication.replication_factor - 1
   /// ReplicaNodes behind its primary and acks writes at
   /// replication.write_quorum copies.
   ReplicationConfig replication;
-  /// Per-shard aggregation overrides, indexed by shard; shorter-than-
-  /// num_shards vectors leave the remaining shards on the template.
-  std::vector<ShardTuning> tuning;
   /// Decentralized failure detection: every primary gossips heartbeats;
   /// the designated survivor fences a silent peer and promotes its best
   /// replica. Disable for tests that drive TriggerFailover manually (the
@@ -264,8 +251,7 @@ class ShardCluster {
   std::uint64_t migrated_rows() const { return migrated_rows_; }
 
  private:
-  std::unique_ptr<ShardNode> MakeShard(const std::string& name,
-                                       int tuning_index);
+  std::unique_ptr<ShardNode> MakeShard(const std::string& name);
   util::Status FailoverNode(ShardNode* node);
   /// Moves every digest-routed row on `source` whose ring owner is no
   /// longer `source` to its owner, via logged ops on both sides (so the

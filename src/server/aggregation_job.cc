@@ -11,6 +11,7 @@
 
 #include "util/clock.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
 
 namespace pisrep::server {
 
@@ -109,12 +110,10 @@ void AggregationJob::EmitStats() {
   vendor_micros_->Observe(static_cast<double>(stats_.vendor_micros));
 }
 
-util::ThreadPool* AggregationJob::TickPool() const {
-  if (pool_ != nullptr) return pool_;
-  if (fan_out_shared_ && registry_->SoftwareCount() >= kTickSplitTitles) {
-    return &util::ThreadPool::Shared();
-  }
-  return nullptr;
+std::size_t AggregationJob::TickWidth() const {
+  if (fan_out_width_ != 0) return fan_out_width_;
+  return registry_->SoftwareCount() >= kTickSplitTitles ? util::HardwareWidth()
+                                                         : 1;
 }
 
 std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
@@ -127,10 +126,10 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   // The first run after construction is always a full sweep: dirty state is
   // in-memory and did not observe whatever happened before a restart.
   const bool sweep =
-      full_sweep || force_full_sweep_ || runs_ == 1 ||
+      full_sweep || runs_ == 1 ||
       (full_sweep_every_ != 0 && runs_ % full_sweep_every_ == 0);
 
-  util::ThreadPool* const pool = TickPool();
+  const std::size_t width = TickWidth();
 
   // Consume every dirty source even when sweeping, so the next incremental
   // run starts from a clean slate instead of redoing already-swept work.
@@ -194,7 +193,7 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   // When the run will touch more votes than there are accounts, snapshot
   // every trust factor in one users-table scan up front. Per-vote
   // TrustFactor() copies a full account row (five string columns) per call;
-  // under the pool those copies all contend on the allocator and eat the
+  // fanned out, those copies all contend on the allocator and eat the
   // parallel speedup. The map holds the same live values a per-vote lookup
   // would see (nothing mutates accounts mid-run), so output is unchanged.
   std::unordered_map<core::UserId, double> trust_cache;
@@ -208,10 +207,10 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
     }
   }
 
-  // Phase 1 — pure compute, fanned out across the pool when there is
-  // one. Workers only *read* (votes, trust factors, priors) and write
-  // disjoint slots of a pre-sized results vector; per-software arithmetic
-  // order never changes, so parallel output is bit-identical to serial.
+  // Phase 1 — pure compute, fanned out `width` wide. Chunks only *read*
+  // (votes, trust factors, priors) and write disjoint slots of a pre-sized
+  // results vector; per-software arithmetic order never changes, so
+  // parallel output is bit-identical to serial.
   auto compute = [&](std::size_t slot) {
     const core::SoftwareId& software = targets[slot];
     std::vector<core::WeightedVote> weighted;
@@ -256,17 +255,10 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   };
 
   std::vector<core::SoftwareScore> results(targets.size());
-  if (pool != nullptr && targets.size() > 1) {
-    std::size_t shards = std::min(targets.size(), pool->size());
-    std::size_t chunk = (targets.size() + shards - 1) / shards;
-    stats_.shards = (targets.size() + chunk - 1) / chunk;
-  }
-  util::ParallelForOn(pool, targets.size(),
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          results[i] = compute(i);
-                        }
-                      });
+  stats_.shards = util::ParallelFor(
+      width, targets.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) results[i] = compute(i);
+      });
   const std::int64_t computed = util::MonotonicMicros();
   stats_.compute_micros = computed - selected;
 
@@ -297,14 +289,14 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   // A rewritten prior on a zero-vote title never enters `targets` (its
   // visible row was updated by PutBootstrapPrior directly), but the vendor
   // mean reads that row, so its vendor is dirty too. Owners are looked up
-  // on the pool and deduplicated in first-touch order.
+  // fanned out and deduplicated in first-touch order.
   std::vector<core::VendorId> vendors;
   if (sweep) {
     vendors = registry_->AllVendors();
   } else {
     std::vector<core::VendorId> owners(targets.size() + dirty_priors.size());
-    util::ParallelForOn(
-        pool, owners.size(), [&](std::size_t begin, std::size_t end) {
+    util::ParallelFor(
+        width, owners.size(), [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             owners[i] = registry_->VendorOf(
                 i < targets.size() ? targets[i]
@@ -322,11 +314,11 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   // the vendor was reached, so sweep and incremental runs agree bit for
   // bit. A target's score comes from phase 1 (it is what PutScore just
   // stored); every other title's from the store. The means are computed
-  // on the pool; the writes stay on this thread, in vendor order.
+  // fanned out; the writes stay on this thread, in vendor order.
   const auto& target_slots = slot_of;
   std::vector<std::optional<core::VendorScore>> means(vendors.size());
-  util::ParallelForOn(
-      pool, vendors.size(), [&](std::size_t begin, std::size_t end) {
+  util::ParallelFor(
+      width, vendors.size(), [&](std::size_t begin, std::size_t end) {
         std::vector<core::SoftwareScore> scores;
         for (std::size_t i = begin; i < end; ++i) {
           scores.clear();

@@ -16,7 +16,6 @@
 #include "server/account_manager.h"
 #include "server/software_registry.h"
 #include "server/vote_store.h"
-#include "util/thread_pool.h"
 
 namespace pisrep::server {
 
@@ -32,7 +31,7 @@ struct AggregationStats {
   std::size_t dirty_trust = 0;  ///< dirtied via a voter's trust change
   std::size_t dirty_priors = 0; ///< dirtied by a bootstrap-prior write
   std::size_t vendors_recomputed = 0;
-  std::size_t shards = 1;       ///< parallel chunks the compute fanned over
+  std::size_t shards = 0;       ///< chunks the compute ran in (0: none)
   std::int64_t wall_micros = 0; ///< real elapsed time (instrumentation only)
   /// Wall time of each phase, summing to wall_micros (instrumentation
   /// only): taking the dirty sets and assembling the targets; the trust
@@ -74,12 +73,12 @@ struct AggregationStats {
 /// (set_full_sweep_every), and an unconditional full sweep on a job's first
 /// run (dirty state is in-memory and lost on restart) guard against drift.
 ///
-/// Parallelism: per-software gather+aggregate and the per-vendor means are
-/// read-only over the database and fan out across a util::ThreadPool when
-/// one is attached; every write (PutScore / PutVendorScore) happens on the
-/// calling thread — storage::Database stays single-writer, and results are
-/// byte-identical to the sequential path because per-software and
-/// per-vendor arithmetic order never changes.
+/// Parallelism: per-software gather+aggregate, the vendor owners and the
+/// per-vendor means are read-only over the database and fan out through
+/// util::ParallelFor, TickWidth() wide; every write (PutScore /
+/// PutVendorScore) happens on the calling thread — storage::Database stays
+/// single-writer, and results are byte-identical to the sequential path
+/// because per-software and per-vendor arithmetic order never changes.
 class AggregationJob {
  public:
   /// Every Nth scheduled run is widened to a full sweep by default.
@@ -93,29 +92,25 @@ class AggregationJob {
   void set_trust_weighting(bool enabled) { trust_weighting_ = enabled; }
   bool trust_weighting() const { return trust_weighting_; }
 
-  /// Attaches a worker pool for the compute and vendor-mean fan-out (not
-  /// owned; must outlive the job or be detached with nullptr). Null means
-  /// compute inline on the calling thread, unless FanOutOnSharedPool is on.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
-  /// Registered titles from which a job under FanOutOnSharedPool splits a
-  /// run; below it the run stays on the calling thread and starts no
-  /// thread. This is not where the pooled tick starts to win: it already
-  /// does at 128 titles. It keeps small processes, such as the test
-  /// binaries `ctest -j` runs side by side, free of threads, because
-  /// fanning out also costs the rest of the process, and below this size
-  /// an inline tick takes tens of milliseconds at most (DESIGN §9.2).
+  /// Registered titles from which a run fans out; below it the run stays
+  /// on the calling thread and starts no thread. This is not where the
+  /// fanned-out tick starts to win: it already does at 128 titles. It
+  /// keeps small processes, such as the test binaries `ctest -j` runs side
+  /// by side, free of threads, because fanning out also costs the rest of
+  /// the process, and below this size an inline tick takes tens of
+  /// milliseconds at most (DESIGN §9.2).
   static constexpr std::size_t kTickSplitTitles = 512;
 
-  /// How a server wires its job: with no pool attached, every run over a
-  /// store of at least kTickSplitTitles titles fans out over
-  /// util::ThreadPool::Shared(), whose threads live for one fan-out.
-  void FanOutOnSharedPool() { fan_out_shared_ = true; }
+  /// How wide a run started now fans out: the set_fan_out_width override
+  /// when one is set, else util::HardwareWidth() from kTickSplitTitles
+  /// registered titles up, else 1 (inline). The server renders its
+  /// snapshot at the same width.
+  std::size_t TickWidth() const;
 
-  /// The pool a run started now fans out over (null: inline): the
-  /// attached one, else the shared one when the store is large enough.
-  /// The server renders its snapshot on the same pool.
-  util::ThreadPool* TickPool() const;
+  /// Overrides the split rule: every run fans out `width` wide (1: inline)
+  /// whatever the store's size; 0 restores the rule. For the bit-equality
+  /// tests and the A4 benchmark.
+  void set_fan_out_width(std::size_t width) { fan_out_width_ = width; }
 
   /// Forces a full sweep every `n` runs; 0 disables the periodic guard
   /// (the first run and the explicit escape hatch still sweep fully).
@@ -127,14 +122,6 @@ class AggregationJob {
   /// snapshot-pinning hook). Off by default — the vector can be large.
   void set_collect_recomputed(bool collect) { collect_recomputed_ = collect; }
   bool collect_recomputed() const { return collect_recomputed_; }
-
-  /// Standing escape hatch: while set, *every* run (scheduled or manual)
-  /// is a full sweep, regardless of `full_sweep_every`. This used to exist
-  /// only as RunOnce's call-site argument; as configuration it can differ
-  /// per shard in a cluster (a small shard can afford to always sweep,
-  /// a big one cannot). Default off — output is bit-identical to before.
-  void set_force_full_sweep(bool force) { force_full_sweep_ = force; }
-  bool force_full_sweep() const { return force_full_sweep_; }
 
   /// Recomputes scores as of `now` — incrementally, unless `full_sweep`
   /// asks for the paper's recompute-everything behaviour. Returns the
@@ -185,10 +172,9 @@ class AggregationJob {
   VoteStore* votes_;
   AccountManager* accounts_;
   bool trust_weighting_ = true;
-  util::ThreadPool* pool_ = nullptr;
-  bool fan_out_shared_ = false;
+  /// set_fan_out_width's override; 0 means the split rule decides.
+  std::size_t fan_out_width_ = 0;
   std::uint64_t full_sweep_every_ = kDefaultFullSweepEvery;
-  bool force_full_sweep_ = false;
   bool collect_recomputed_ = false;
   /// Trust generation already folded into scores by previous runs.
   std::uint64_t trust_generation_seen_ = 0;

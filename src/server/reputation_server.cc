@@ -54,9 +54,6 @@ ReputationServer::ReputationServer(storage::Database* db,
       aggregation_(&registry_, &votes_, &accounts_),
       bootstrap_(&registry_) {
   aggregation_.set_trust_weighting(config_.trust_weighting);
-  aggregation_.set_full_sweep_every(config_.aggregation_full_sweep_every);
-  aggregation_.set_force_full_sweep(config_.aggregation_force_full_sweep);
-  aggregation_.FanOutOnSharedPool();
   if (config_.metrics != nullptr || config_.tracer != nullptr) {
     votes_.AttachMetrics(config_.metrics);
     flood_.AttachMetrics(config_.metrics);
@@ -255,7 +252,7 @@ void ReputationServer::PublishSnapshot() {
   const std::int64_t started = util::MonotonicMicros();
   std::shared_ptr<const ScoreSnapshot> snapshot =
       BuildScoreSnapshot(registry_, votes_, SnapshotOptionsOf(config_),
-                         ++snapshot_epoch_, Now(), aggregation_.TickPool());
+                         ++snapshot_epoch_, Now(), aggregation_.TickWidth());
   snapshot_.Publish(snapshot);
   if (publish_micros_) {
     publish_micros_->Observe(

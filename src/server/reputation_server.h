@@ -109,16 +109,6 @@ class ReputationServer {
     /// lose meta-moderation (remarks need linkable authorship).
     bool pseudonymous_votes = false;
     std::string pseudonym_secret = "pisrep-pseudonym-secret";
-    /// Every Nth aggregation run is widened to a full sweep (drift
-    /// guard); 0 disables the periodic guard. Per-server (and therefore
-    /// per-shard in a cluster): shards of different sizes can sweep on
-    /// different cadences.
-    std::uint64_t aggregation_full_sweep_every =
-        AggregationJob::kDefaultFullSweepEvery;
-    /// Standing escape hatch: when true, every aggregation run is a full
-    /// sweep. Per-shard config like the cadence above; default off keeps
-    /// single-server output bit-identical.
-    bool aggregation_force_full_sweep = false;
     /// How often the tiered storage engine's eviction schedule runs
     /// (storage::Database::TierTick: fault promotion, age/LRU demotion,
     /// cold-store GC) when the database is tiered and a loop is attached.
@@ -202,8 +192,9 @@ class ReputationServer {
   /// Rebuilds and publishes the snapshot from current store contents.
   /// Called automatically at construction and after every aggregation
   /// run; exposed for benches that mutate stores directly. The render
-  /// fans out over the aggregation's TickPool: the process-wide pool from
-  /// AggregationJob::kTickSplitTitles titles on.
+  /// fans out aggregation().TickWidth() wide, like the run: from
+  /// AggregationJob::kTickSplitTitles titles up, on one thread per
+  /// hardware thread, started for the call and joined before it returns.
   void PublishSnapshot();
 
   /// Runs one tiered-storage eviction pass now (the scheduled tick calls

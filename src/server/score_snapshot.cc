@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/logging.h"
+#include "util/parallel_for.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
 #include "xml/xml_writer.h"
@@ -62,7 +63,7 @@ proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,
-    util::TimePoint now, util::ThreadPool* pool) {
+    util::TimePoint now, std::size_t width) {
   auto snapshot = std::make_shared<ScoreSnapshot>();
   snapshot->epoch = epoch;
   snapshot->published_at = now;
@@ -75,13 +76,13 @@ std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
 
   const std::vector<core::SoftwareId> ids = registry.AllSoftware();
   std::vector<proto::SoftwareInfo> infos(ids.size());
-  util::ParallelForOn(pool, ids.size(),
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          infos[i] = MaterializeTitle(registry, votes,
-                                                      options, ids[i]);
-                        }
-                      });
+  util::ParallelFor(width, ids.size(),
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        infos[i] =
+                            MaterializeTitle(registry, votes, options, ids[i]);
+                      }
+                    });
   snapshot->by_software.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     PISREP_CHECK(infos[i].known) << "software listed but not readable";

@@ -1,6 +1,7 @@
 #ifndef PISREP_SERVER_SCORE_SNAPSHOT_H_
 #define PISREP_SERVER_SCORE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -13,7 +14,6 @@
 #include "server/vote_store.h"
 #include "util/atomic_shared_ptr.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 #include "xml/xml_node.h"
 
 namespace pisrep::server {
@@ -92,14 +92,14 @@ proto::SoftwareInfo MaterializeTitle(const SoftwareRegistry& registry,
                                      const core::SoftwareId& id);
 
 /// Materializes a snapshot from the live stores through MaterializeTitle.
-/// Runs on the writer thread, which may fan the per-title renders out over
-/// `pool` (null renders inline): workers only read the stores and fill
-/// disjoint slots, and the calling thread inserts the entries, so the
-/// result is the same with or without a pool. It is immutable.
+/// Runs on the writer thread, which fans the per-title renders out
+/// `width` wide through util::ParallelFor (1 renders inline): chunks only
+/// read the stores and fill disjoint slots, and the calling thread inserts
+/// the entries, so the result is the same at every width. It is immutable.
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,
-    util::TimePoint now, util::ThreadPool* pool);
+    util::TimePoint now, std::size_t width);
 
 /// The single atomic publication point. Writers Publish a freshly built
 /// snapshot (release); readers Current() it (acquire) and hold the

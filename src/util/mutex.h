@@ -1,9 +1,7 @@
 #ifndef PISREP_UTIL_MUTEX_H_
 #define PISREP_UTIL_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
-#include <utility>
 
 #include "util/thread_annotations.h"
 
@@ -34,7 +32,6 @@ class CAPABILITY("mutex") Mutex {
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -55,39 +52,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Condition variable bound to util::Mutex. Wait() takes the mutex the
-/// caller already holds (REQUIRES), so guarded fields read in the wait
-/// loop's condition stay visible to the analysis:
-///
-///   MutexLock lock(&mu_);
-///   while (!ready_) cv_.Wait(&mu_);   // ready_ GUARDED_BY(mu_)
-///
-/// Predicate-less by design: a predicate lambda would be analyzed as a
-/// separate unannotated function and spuriously flagged, so the condition
-/// lives in the caller's annotated scope instead.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, blocks, and re-acquires before returning.
-  /// The caller must hold `mu` (it still does on return).
-  void Wait(Mutex* mu) REQUIRES(mu) {
-    // Adopt the caller's hold for the duration of the wait, then hand it
-    // back: release() stops the unique_lock from unlocking on scope exit.
-    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace pisrep::util

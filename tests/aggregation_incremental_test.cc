@@ -20,10 +20,10 @@
 #include "server/vote_store.h"
 #include "storage/database.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
 #include "util/random.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "xml/xml_writer.h"
 
 namespace pisrep::server {
@@ -34,6 +34,9 @@ using core::SoftwareMeta;
 using core::UserId;
 
 constexpr util::Duration kDay = util::kDay;
+/// Fan-out width of the bit-equality checks: chunks on threads started per
+/// call, as a server's tick runs them.
+constexpr std::size_t kWidth = 4;
 
 SoftwareMeta Meta(const std::string& tag, const std::string& company) {
   SoftwareMeta meta;
@@ -115,11 +118,11 @@ struct World {
     PISREP_CHECK(db->TierTick(now).ok());
   }
 
-  /// Renders the world's snapshot, on `pool` or inline.
+  /// Renders the world's snapshot `width` wide (1: inline).
   std::shared_ptr<const ScoreSnapshot> Snapshot(util::TimePoint now,
-                                                util::ThreadPool* pool) {
+                                                std::size_t width) {
     return BuildScoreSnapshot(*registry, *votes, SnapshotBuildOptions{},
-                              /*epoch=*/1, now, pool);
+                              /*epoch=*/1, now, width);
   }
 
   std::string wal_path;
@@ -496,7 +499,6 @@ TEST_F(AggregationIncrementalTest, MetricsAndLogLineDeriveFromSameStats) {
 // --- Parallel == serial ---------------------------------------------------
 
 TEST(AggregationParallelTest, PoolMatchesSerialBitExactly) {
-  util::ThreadPool pool(4);
   auto populate = [&](World& w) {
     std::vector<UserId> users;
     for (int u = 0; u < 12; ++u) {
@@ -530,13 +532,13 @@ TEST(AggregationParallelTest, PoolMatchesSerialBitExactly) {
   };
 
   // In memory, and on tiered stores where most reads are cold decodes
-  // that queue faults: the workers read the same tables concurrently
-  // (the ThreadSanitizer job runs this test).
+  // that queue faults: the fanned-out chunks read the same tables
+  // concurrently (the ThreadSanitizer job runs this test).
   for (bool tiered : {false, true}) {
     SCOPED_TRACE(tiered ? "tiered" : "in memory");
     World serial(tiered);
     World parallel(tiered);
-    parallel.job->set_thread_pool(&pool);
+    parallel.job->set_fan_out_width(kWidth);
     populate(serial);
     populate(parallel);
     serial.Demote(0);
@@ -547,16 +549,16 @@ TEST(AggregationParallelTest, PoolMatchesSerialBitExactly) {
     EXPECT_GT(parallel.job->last_stats().shards, 1u);
     ExpectSameScores(serial, parallel);
 
-    // The render fans out the same way: the pooled snapshot equals the
-    // serial one entry by entry.
+    // The render fans out the same way: the fanned-out snapshot equals
+    // the serial one entry by entry.
     serial.Demote(kDay);
     parallel.Demote(kDay);
-    auto serial_snapshot = serial.Snapshot(kDay, nullptr);
-    auto pooled_snapshot = parallel.Snapshot(kDay, &pool);
+    auto serial_snapshot = serial.Snapshot(kDay, 1);
+    auto fanned_snapshot = parallel.Snapshot(kDay, kWidth);
     EXPECT_EQ(serial_snapshot->by_software.size(), 9u);
-    ExpectSameSnapshot(*serial_snapshot, *pooled_snapshot);
+    ExpectSameSnapshot(*serial_snapshot, *fanned_snapshot);
     if (tiered) {
-      // The workers really read cold rows: all but four votes were cold.
+      // The chunks really read cold rows: all but four votes were cold.
       storage::TieredTable* ratings = parallel.db->GetTiered("ratings").value();
       EXPECT_LE(ratings->HotRows(), 4u);
       EXPECT_GT(ratings->stats().faults, 0u);
@@ -564,17 +566,39 @@ TEST(AggregationParallelTest, PoolMatchesSerialBitExactly) {
   }
 }
 
+TEST(AggregationParallelTest, TickWidthFollowsTheSplitRule) {
+  World w;
+  for (std::size_t i = 0; i + 1 < AggregationJob::kTickSplitTitles; ++i) {
+    PISREP_CHECK(w.registry
+                     ->RegisterSoftware(Meta("split" + std::to_string(i),
+                                             "vendor" + std::to_string(i % 5)))
+                     .ok());
+  }
+  // 511 titles: inline, unless overridden; 0 restores the rule.
+  EXPECT_EQ(w.job->TickWidth(), 1u);
+  w.job->set_fan_out_width(kWidth);
+  EXPECT_EQ(w.job->TickWidth(), kWidth);
+  w.job->set_fan_out_width(0);
+  EXPECT_EQ(w.job->TickWidth(), 1u);
+  // 512 titles: as wide as the host, unless overridden.
+  PISREP_CHECK(w.registry->RegisterSoftware(Meta("split-last", "vendor0")).ok());
+  EXPECT_GE(util::HardwareWidth(), 1u);
+  EXPECT_EQ(w.job->TickWidth(), util::HardwareWidth());
+  w.job->set_fan_out_width(1);
+  EXPECT_EQ(w.job->TickWidth(), 1u);
+}
+
 // --- Property-style mirrored random op streams ----------------------------
 
 /// One seed of the mirrored stream: random mutations land in both worlds,
-/// `inc` aggregates incrementally on `pool` and `full` sweeps serially,
+/// `inc` aggregates incrementally kWidth wide and `full` sweeps serially,
 /// and after every run the scores must agree bit for bit and `inc`'s
-/// pooled snapshot must equal its serial one.
-void RunMirroredOpStream(std::uint64_t seed, util::ThreadPool* pool) {
+/// fanned-out snapshot must equal its serial one.
+void RunMirroredOpStream(std::uint64_t seed) {
   World inc;
   World full;
   inc.job->set_full_sweep_every(0);
-  inc.job->set_thread_pool(pool);
+  inc.job->set_fan_out_width(kWidth);
 
   constexpr int kUsers = 10;
   constexpr int kSoftware = 15;
@@ -590,7 +614,7 @@ void RunMirroredOpStream(std::uint64_t seed, util::ThreadPool* pool) {
     inc.job->RunOnce(now);
     full.job->RunOnce(now, /*full_sweep=*/true);
     ExpectSameScores(inc, full);
-    ExpectSameSnapshot(*inc.Snapshot(now, nullptr), *inc.Snapshot(now, pool));
+    ExpectSameSnapshot(*inc.Snapshot(now, 1), *inc.Snapshot(now, kWidth));
   };
 
   util::Rng rng(seed);
@@ -668,12 +692,11 @@ void RunMirroredOpStream(std::uint64_t seed, util::ThreadPool* pool) {
 }
 
 TEST(AggregationPropertyTest, RandomOpStreamMatchesFullSweep) {
-  util::ThreadPool pool(4);
   // 200 seeds; a failure names its seed, which replays it alone.
   constexpr std::uint64_t kFirstSeed = 20260807;
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunMirroredOpStream(seed, &pool);
+    RunMirroredOpStream(seed);
     if (::testing::Test::HasFailure()) break;
   }
 }

@@ -1313,28 +1313,6 @@ TEST(ClusterPortal, PortalMergesPagesAcrossShards) {
   EXPECT_NE(portal.HomePage().find("programs tracked"), std::string::npos);
 }
 
-TEST(ClusterTuning, PerShardSweepCadenceIsHonored) {
-  net::EventLoop loop;
-  net::SimNetwork network(&loop, net::NetworkConfig{});
-  ClusterConfig config;
-  config.num_shards = 2;
-  config.gossip.enabled = false;
-  config.anti_entropy.enabled = false;
-  // Shard 0 sweeps fully on every run; shard 1 keeps the template default
-  // (incremental with the periodic full sweep).
-  config.tuning.push_back({.full_sweep_every = 1, .force_full_sweep = true});
-  ShardCluster cluster(&network, &loop, std::move(config));
-  ASSERT_TRUE(cluster.Start().ok());
-
-  // First runs are full everywhere (cold start); the second run is where
-  // the cadence divides them.
-  cluster.RunAggregationAll(util::kDay);
-  cluster.RunAggregationAll(2 * util::kDay);
-  EXPECT_TRUE(cluster.primary(0)->aggregation().last_stats().full_sweep);
-  EXPECT_FALSE(cluster.primary(1)->aggregation().last_stats().full_sweep);
-  cluster.StopAll();
-}
-
 // ---------------------------------------------------------------------------
 // Router fast paths: vendor index, binary codec, stray frames
 // ---------------------------------------------------------------------------

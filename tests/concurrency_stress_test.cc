@@ -1,7 +1,7 @@
 // Concurrency stress suite (ctest label: tsan-stress).
 //
 // Hammers the two genuinely multi-threaded subsystems — obs::MetricsRegistry
-// and util::ThreadPool — from several threads at once and asserts exact
+// and util::ParallelFor — from several threads at once and asserts exact
 // post-quiesce invariants. The suite is the workload for the ThreadSanitizer
 // CI gate (`-DSANITIZER=thread`): every access pattern a production
 // component may use appears here, so a data race regression in either
@@ -24,7 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace pisrep {
 namespace {
@@ -173,65 +173,27 @@ TEST(ConcurrencyStress, EnabledFlipsRaceUpdatesWithoutCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// ParallelFor
 // ---------------------------------------------------------------------------
-
-TEST(ConcurrencyStress, SubmitChurnFromManyThreads) {
-  util::ThreadPool pool(kThreads);
-  std::atomic<std::uint64_t> ran{0};
-  std::vector<std::thread> submitters;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&pool, &ran] {
-      std::vector<std::future<void>> pending;
-      pending.reserve(kIters / 10);
-      for (std::size_t i = 0; i < kIters / 10; ++i) {
-        pending.push_back(pool.Submit(
-            [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
-      }
-      for (std::future<void>& f : pending) f.get();
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  EXPECT_EQ(ran.load(std::memory_order_relaxed), kThreads * (kIters / 10));
-}
-
-TEST(ConcurrencyStress, DestructionDrainsEverySubmittedTask) {
-  // Construct/submit/destroy in a tight loop: the destructor races the
-  // last Submit's notify (the regression this suite exists to pin down —
-  // see the notify-under-lock comment in ThreadPool::Submit).
-  constexpr std::size_t kRounds = 50;
-  constexpr std::size_t kTasksPerRound = 40;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    std::atomic<std::uint64_t> ran{0};
-    {
-      util::ThreadPool pool(2);
-      for (std::size_t i = 0; i < kTasksPerRound; ++i) {
-        pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      }
-      // Destructor: drain queued work, then join.
-    }
-    ASSERT_EQ(ran.load(std::memory_order_relaxed), kTasksPerRound)
-        << "round " << round;
-  }
-}
 
 TEST(ConcurrencyStress, ConcurrentParallelForCallersCoverTheirRanges) {
   // ParallelFor is documented as callable from any thread; several callers
-  // share one pool, each with its own disjoint output slots (the
+  // fan out at once, each with its own disjoint output slots (the
   // aggregation job's phase-1 pattern).
-  util::ThreadPool pool(kThreads);
   constexpr std::size_t kCallers = 3;
   constexpr std::size_t kRange = 5000;
   std::vector<std::vector<std::uint32_t>> hits(
       kCallers, std::vector<std::uint32_t>(kRange, 0));
   std::vector<std::thread> callers;
   for (std::size_t c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &hits, c] {
+    callers.emplace_back([&hits, c] {
       for (int repeat = 0; repeat < 5; ++repeat) {
-        pool.ParallelFor(kRange, [&hits, c](std::size_t begin,
-                                            std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) hits[c][i] += 1;
-        });
+        util::ParallelFor(kThreads, kRange,
+                          [&hits, c](std::size_t begin, std::size_t end) {
+                            for (std::size_t i = begin; i < end; ++i) {
+                              hits[c][i] += 1;
+                            }
+                          });
       }
     });
   }
@@ -244,17 +206,19 @@ TEST(ConcurrencyStress, ConcurrentParallelForCallersCoverTheirRanges) {
 }
 
 TEST(ConcurrencyStress, PoolWorkersUpdatingMetricsEndToEnd) {
-  // The production composition: pool workers bump metrics while the
-  // coordinating thread snapshots — MetricsRegistry and ThreadPool
+  // The production composition: fanned-out chunks bump metrics, then the
+  // coordinating thread snapshots — MetricsRegistry and ParallelFor
   // synchronization exercised against each other.
   obs::MetricsRegistry registry;
   obs::Counter* processed =
       registry.GetCounter("pisrep_test_processed_total");
-  util::ThreadPool pool(kThreads);
   constexpr std::size_t kItems = 20000;
-  pool.ParallelFor(kItems, [processed](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) processed->Increment();
-  });
+  util::ParallelFor(kThreads, kItems,
+                    [processed](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        processed->Increment();
+                      }
+                    });
   EXPECT_EQ(processed->Value(), kItems);
   ASSERT_EQ(registry.Snapshot().size(), 1u);
   EXPECT_EQ(registry.Snapshot()[0].counter_value, kItems);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <future>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,9 +17,9 @@
 #include "server/reputation_server.h"
 #include "storage/database.h"
 #include "util/clock.h"
+#include "util/parallel_for.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "xml/xml_node.h"
 
 namespace pisrep::obs {
@@ -112,7 +111,7 @@ TEST(MetricsTest, WithLabelRendersPrometheusStyle) {
             "pisrep_net_faults_total{kind=\"drop\"}");
 }
 
-TEST(MetricsTest, ConcurrentUpdatesUnderThreadPool) {
+TEST(MetricsTest, ConcurrentUpdatesUnderParallelFor) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("pisrep_test_total");
   Gauge* g = registry.GetGauge("pisrep_test_depth");
@@ -120,19 +119,15 @@ TEST(MetricsTest, ConcurrentUpdatesUnderThreadPool) {
 
   constexpr int kTasks = 8;
   constexpr int kPerTask = 10000;
-  util::ThreadPool pool(4);
-  std::vector<std::future<void>> done;
-  done.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    done.push_back(pool.Submit([&] {
+  util::ParallelFor(4, kTasks, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
       for (int i = 0; i < kPerTask; ++i) {
         c->Increment();
         g->Add(1);
         h->Observe(50);
       }
-    }));
-  }
-  for (auto& f : done) f.get();
+    }
+  });
 
   EXPECT_EQ(c->Value(), std::uint64_t{kTasks} * kPerTask);
   EXPECT_EQ(g->Value(), std::int64_t{kTasks} * kPerTask);

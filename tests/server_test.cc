@@ -13,8 +13,8 @@
 #include "server/score_snapshot.h"
 #include "sim/attacks.h"
 #include "storage/database.h"
+#include "util/parallel_for.h"
 #include "util/sha1.h"
-#include "util/thread_pool.h"
 #include "xml/xml_writer.h"
 
 namespace pisrep::server {
@@ -818,8 +818,8 @@ TEST_F(ServerTest, SnapshotEntryMatchesTheLiveRenderByteForByte) {
   }
 
   // Scheduled ticks on a store large enough to split: the run and the
-  // render fan out over the process-wide pool, and every entry still
-  // equals the live render. Every fourth title stays without votes.
+  // render fan out as wide as the host, and every entry still equals the
+  // live render. Every fourth title stays without votes.
   std::vector<SoftwareMeta> catalogue;
   for (std::size_t i = 0; i < AggregationJob::kTickSplitTitles; ++i) {
     SoftwareMeta title = TestMeta("split" + std::to_string(i),
@@ -849,7 +849,7 @@ TEST_F(ServerTest, SnapshotEntryMatchesTheLiveRenderByteForByte) {
   loop_.RunUntil(kDay);
   EXPECT_EQ(server_->aggregation().runs(), 2u);
   EXPECT_EQ(server_->aggregation().last_stats().shards > 1,
-            util::ThreadPool::Shared().size() > 1);
+            util::HardwareWidth() > 1);
   expect_every_entry_live();
 
   // The next tick recomputes Vendor0 through one vote on one of its titles;
