@@ -12,46 +12,33 @@
 // prompts per host-week alongside protection quality.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
-#include "core/policy.h"
 #include "sim/scenario.h"
+#include "trust/policy_rules.h"
 
 namespace pisrep {
 namespace {
 
 using util::kDay;
 
-core::Policy SignatureOnlyPolicy() {
-  core::Policy policy = core::Policy::ListsOnly();
-  core::Policy extended("lists+signatures");
-  for (const core::PolicyRule& rule : policy.rules()) extended.AddRule(rule);
-  core::PolicyRule trusted;
-  trusted.name = "trusted-signature";
-  trusted.action = core::PolicyAction::kAllow;
-  trusted.require_valid_signature = true;
-  trusted.require_vendor_trusted = true;
-  extended.AddRule(trusted);
-  extended.set_default_action(core::PolicyAction::kAsk);
-  return extended;
-}
-
 int main_impl() {
   bench::Banner("F7 — policy manager vs user interruptions",
                 "section 4.2 (improvement suggestions)");
 
+  // Each policy is rule text; the client's white/black lists run before it.
   struct Config {
     const char* label;
-    core::Policy policy;
+    std::string policy_rules;
     bool trust_vendors;
   };
   Config configs[] = {
-      {"proof-of-concept (lists only, always ask)", core::Policy::ListsOnly(),
-       false},
-      {"+ signature white-listing of trusted vendors", SignatureOnlyPolicy(),
-       true},
+      {"proof-of-concept (lists only, always ask)", "default ask", false},
+      {"+ signature white-listing of trusted vendors",
+       "allow if signed-by trusted vendor\ndefault ask", true},
       {"+ full policy (rating>7.5 & no ads; deny<3)",
-       core::Policy::PaperDefault(), true},
+       std::string(trust::PaperExampleRules()), true},
   };
 
   std::printf("population: 40 hosts, 30 days, 6 launches/host-day\n\n");
@@ -69,7 +56,7 @@ int main_impl() {
     config.num_users = 40;
     config.duration = 30 * kDay;
     config.executions_per_day = 6.0;
-    config.policy = entry.policy;
+    config.policy_rules = entry.policy_rules;
     config.trust_legit_vendors = entry.trust_vendors;
     config.server.flood.registration_puzzle_bits = 0;
     config.server.flood.max_registrations_per_source_per_day = 0;

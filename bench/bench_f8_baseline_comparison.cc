@@ -11,9 +11,11 @@
 // same ecosystem for 45 days.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "sim/scenario.h"
+#include "trust/policy_rules.h"
 
 namespace pisrep {
 namespace {
@@ -54,7 +56,7 @@ int main_impl() {
   config.frac_av = 1.0 / 3.0;
   config.duration = 45 * kDay;
   config.executions_per_day = 6.0;
-  config.policy = core::Policy::PaperDefault();
+  config.policy_rules = std::string(trust::PaperExampleRules());
   config.trust_legit_vendors = true;
   config.server.flood.registration_puzzle_bits = 0;
   config.server.flood.max_registrations_per_source_per_day = 0;

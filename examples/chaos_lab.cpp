@@ -19,6 +19,7 @@
 #include <string>
 
 #include "sim/scenario.h"
+#include "trust/policy_rules.h"
 
 using namespace pisrep;
 
@@ -36,7 +37,7 @@ sim::ScenarioConfig MakeConfig(std::uint64_t seed) {
   config.frac_novice = 0.25;
   config.duration = 30 * util::kDay;
   config.executions_per_day = 6.0;
-  config.policy = core::Policy::PaperDefault();
+  config.policy_rules = std::string(trust::PaperExampleRules());
   config.trust_legit_vendors = true;
   config.server.flood.registration_puzzle_bits = 0;
   config.server.flood.max_registrations_per_source_per_day = 0;

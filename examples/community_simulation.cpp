@@ -10,8 +10,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "sim/scenario.h"
+#include "trust/policy_rules.h"
 #include "web/portal.h"
 
 using namespace pisrep;
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
   config.frac_novice = 0.25;
   config.duration = 30 * util::kDay;
   config.executions_per_day = 6.0;
-  config.policy = core::Policy::PaperDefault();
+  config.policy_rules = std::string(trust::PaperExampleRules());
   config.trust_legit_vendors = true;
   config.server.flood.registration_puzzle_bits = 0;
   config.server.flood.max_registrations_per_source_per_day = 0;

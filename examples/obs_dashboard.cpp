@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/scenario.h"
+#include "trust/policy_rules.h"
 #include "web/portal.h"
 
 using namespace pisrep;
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   config.num_users = 15;
   config.duration = 7 * util::kDay;
   config.executions_per_day = 6.0;
-  config.policy = core::Policy::PaperDefault();
+  config.policy_rules = std::string(trust::PaperExampleRules());
   config.server.flood.registration_puzzle_bits = 0;
   config.server.flood.max_registrations_per_source_per_day = 0;
   // Log a metrics digest once per simulated day (driven by the sim clock).

@@ -1,16 +1,24 @@
 // Policy manager: the §4.2 improvement in action.
 //
-// A corporate administrator builds an execution policy on top of the
-// reputation data: software signed by trusted vendors runs, software rated
-// above 7.5/10 with no advertising behaviours runs, everything else is
-// denied — no user prompts at all (CorporateLockdown denies; PaperDefault
-// asks). We push a small catalogue of files through both policies and
-// print the decision matrix.
+// A corporate administrator writes an execution policy as rule text on top
+// of the reputation data. The paper's worked example lets software signed
+// by trusted vendors run, lets software rated above 7.5/10 with no
+// advertising behaviours run, and asks about everything else; a corporate
+// lockdown denies instead of asking — no user prompts at all. We push a
+// small catalogue of files through the policies and print the decision
+// matrix, naming each fired rule by its source line. White- and
+// black-listed binaries never reach a policy: the client decides them
+// first (§3.1).
 
 #include <cstdio>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/policy.h"
+#include "trust/policy_rules.h"
+#include "util/logging.h"
 
 using namespace pisrep;
 
@@ -20,6 +28,12 @@ struct CatalogEntry {
   const char* description;
   core::PolicyInput input;
 };
+
+core::Policy Parse(std::string_view rules, std::string_view name) {
+  auto policy = trust::ParsePolicyRules(rules, name);
+  PISREP_CHECK(policy.ok()) << policy.status().ToString();
+  return *std::move(policy);
+}
 
 void Evaluate(const core::Policy& policy,
               const std::vector<CatalogEntry>& catalog) {
@@ -97,34 +111,21 @@ int main() {
     catalog.push_back({"highly-rated software from a blocked vendor",
                        input});
   }
-  {
-    core::PolicyInput input;
-    input.on_whitelist = true;
-    catalog.push_back({"anything already on the local whitelist", input});
-  }
 
-  Evaluate(core::Policy::PaperDefault(), catalog);
-  Evaluate(core::Policy::CorporateLockdown(), catalog);
+  Evaluate(Parse(trust::PaperExampleRules(), "paper-default"), catalog);
+  Evaluate(Parse("allow if signed-by trusted vendor\n"
+                 "default deny\n",
+                 "corporate-lockdown"),
+           catalog);
 
   // A custom policy: §4.2 lets organisations compose their own rules — for
   // example "allow trusted signatures; deny anything that registers itself
   // at startup; ask otherwise".
-  core::Policy custom("no-startup-programs");
-  {
-    core::PolicyRule trusted;
-    trusted.name = "trusted-signature";
-    trusted.action = core::PolicyAction::kAllow;
-    trusted.require_valid_signature = true;
-    trusted.require_vendor_trusted = true;
-    custom.AddRule(trusted);
-    core::PolicyRule no_startup;
-    no_startup.name = "deny-startup-registration";
-    no_startup.action = core::PolicyAction::kDeny;
-    no_startup.required_behaviors =
-        static_cast<core::BehaviorSet>(core::Behavior::kStartupRegistration);
-    custom.AddRule(no_startup);
-    custom.set_default_action(core::PolicyAction::kAsk);
-  }
+  core::Policy custom = Parse(
+      "allow if signed-by trusted vendor\n"
+      "deny if shows startup_registration\n"
+      "default ask\n",
+      "no-startup-programs");
   {
     core::PolicyInput input;
     input.has_company_name = true;

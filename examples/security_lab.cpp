@@ -67,21 +67,10 @@ int main() {
   config.email = "e@corp.example";
   config.subscribed_feed = "security-lab";
   config.vendor_fallback = true;
-  core::Policy policy("lab-guided");
-  {
-    core::PolicyRule deny_flagged;
-    deny_flagged.name = "deny-lab-flagged";
-    deny_flagged.action = core::PolicyAction::kDeny;
-    deny_flagged.max_feed_rating = 4.0;
-    policy.AddRule(deny_flagged);
-    core::PolicyRule allow_lab_clean;
-    allow_lab_clean.name = "allow-lab-clean";
-    allow_lab_clean.action = core::PolicyAction::kAllow;
-    allow_lab_clean.min_feed_rating = 7.5;
-    policy.AddRule(allow_lab_clean);
-    policy.set_default_action(core::PolicyAction::kAsk);
-  }
-  config.policy = policy;
+  config.policy_rules =
+      "deny if feed-rating <= 4\n"
+      "allow if feed-rating >= 7.5\n"
+      "default ask\n";
   client::ClientApp app(&network, &loop, config);
   PISREP_CHECK(app.Start().ok());
   app.Register([&](util::Status status) {

@@ -75,12 +75,23 @@ PromptInfo InfoFromXml(const XmlNode& response, const core::SoftwareId& id) {
   return info;
 }
 
+/// Parses the client's policy text. Text that does not parse falls back to
+/// the default, a policy with no rules that asks about everything
+/// (`default ask`), so a broken rules file never decides anything itself.
+core::Policy ParseClientPolicy(const std::string& rules) {
+  auto parsed = trust::ParsePolicyRules(rules, "client-rules");
+  if (parsed.ok()) return *std::move(parsed);
+  PISREP_LOG(kWarning) << "policy rules rejected: " << parsed.status();
+  return core::Policy("client-rules");
+}
+
 }  // namespace
 
 ClientApp::ClientApp(net::SimNetwork* network, net::EventLoop* loop,
                      Config config)
     : loop_(loop),
       config_(std::move(config)),
+      policy_(ParseClientPolicy(config_.policy_rules)),
       rpc_(network, loop, config_.address, config_.server_address),
       lists_(config_.local_db != nullptr ? SafetyLists(config_.local_db)
                                          : SafetyLists()),
@@ -89,16 +100,6 @@ ClientApp::ClientApp(net::SimNetwork* network, net::EventLoop* loop,
       cache_(config_.cache_ttl, config_.cache_stale_ttl,
              config_.cache_max_entries),
       offline_queue_(config_.offline_queue) {
-  if (!config_.policy_rules.empty()) {
-    auto parsed = trust::ParsePolicyRules(config_.policy_rules, "client-rules");
-    if (parsed.ok()) {
-      config_.policy = *std::move(parsed);
-    } else {
-      // Keep the configured policy: a broken rules file must never turn
-      // off the lists or the defaults.
-      PISREP_LOG(kWarning) << "policy rules rejected: " << parsed.status();
-    }
-  }
   interceptor_.SetHandler(
       [this](const FileImage& image, DecisionCallback done) {
         HandleExecution(image, std::move(done));
@@ -404,8 +405,6 @@ void ClientApp::FinishQuery(const core::SoftwareId& id, PromptInfo info,
 void ClientApp::DecideWithInfo(const FileImage& image, PromptInfo info,
                                DecisionCallback done) {
   core::PolicyInput input;
-  input.on_whitelist = false;  // whitelist handled earlier
-  input.on_blacklist = false;
   input.has_valid_signature = info.signature.valid;
   input.vendor_trusted = info.signature.vendor_trusted;
   input.vendor_blocked = info.signature.vendor_blocked;
@@ -438,7 +437,7 @@ void ClientApp::DecideWithInfo(const FileImage& image, PromptInfo info,
   }
 
   std::string fired_rule;
-  core::PolicyAction action = config_.policy.Evaluate(input, &fired_rule);
+  core::PolicyAction action = policy_.Evaluate(input, &fired_rule);
   if (config_.metrics != nullptr) {
     const char* family = action == core::PolicyAction::kAllow
                              ? "pisrep_trust_policy_allow_total"

@@ -107,14 +107,12 @@ class ClientApp {
     std::string username;
     std::string password;
     std::string email;
-    /// The decision policy; defaults to the proof-of-concept behaviour
-    /// (lists + ask).
-    core::Policy policy = core::Policy::ListsOnly();
-    /// Declarative alternative to `policy` (PR 10, §4.2 policy manager):
-    /// when non-empty, parsed with trust::ParsePolicyRules and it replaces
-    /// `policy`. A parse failure logs a warning and keeps `policy` — a bad
-    /// rules file must never silently disable the lists.
-    std::string policy_rules;
+    /// The decision policy (§4.2 policy manager) as rule text for
+    /// trust::ParsePolicyRules, evaluated after the white/black lists. The
+    /// default asks about every unlisted binary, the proof-of-concept
+    /// behaviour (§3.1). Text that does not parse logs a warning and falls
+    /// back to that default.
+    std::string policy_rules = "default ask";
     /// Prompt thresholds (§3.1 defaults: 50 executions, 2/week).
     core::PromptScheduler::Config prompts;
     /// What to do when the server is unreachable and the policy says to
@@ -255,6 +253,8 @@ class ClientApp {
 
   net::EventLoop* loop_;
   Config config_;
+  /// `config_.policy_rules`, parsed once.
+  core::Policy policy_;
   net::RpcClient rpc_;
   ExecutionInterceptor interceptor_;
   SafetyLists lists_;

@@ -84,8 +84,6 @@ class ShardNode {
   ReplicaNode* replica(int k) {
     return replicas_[static_cast<std::size_t>(k)].get();
   }
-  /// The first replica (legacy single-backup accessor).
-  ReplicaNode* replica() { return replicas_.empty() ? nullptr : replica(0); }
   int replica_count() const { return static_cast<int>(replicas_.size()); }
   ReplicationShipper* shipper() { return shipper_.get(); }
   GossipAgent* gossip() { return gossip_.get(); }

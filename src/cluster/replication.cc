@@ -336,7 +336,7 @@ void ReplicationShipper::GateResponse(const std::string& method,
                                       std::function<void()> send) {
   (void)method;  // all methods gate on WAL position, none on their name
   std::uint64_t needed = log_.head_seq();
-  if (!config_.synchronous_acks || channels_.empty()) {
+  if (channels_.empty()) {
     send();
     return;
   }

@@ -42,16 +42,13 @@ struct ReplicationConfig {
   /// Consecutive shipping failures before a replica's channel is marked
   /// degraded and stops counting toward (or blocking) the write quorum.
   int degraded_after_failures = 3;
-  /// When true (the default), a client response whose handler advanced the
-  /// primary's WAL is held until `write_quorum` copies hold those records —
-  /// synchronous replication, the "zero lost acked votes" guarantee.
-  bool synchronous_acks = true;
   /// Total copies of the shard's data including the primary (R). The shard
   /// stands up replication_factor - 1 ReplicaNodes behind its primary.
   int replication_factor = 2;
   /// Copies — counting the primary's own WAL — that must hold a record
   /// before its gated response is released (W of R). Clamped to
-  /// [1, replication_factor]; degraded channels shrink the *effective*
+  /// [1, replication_factor]; 1 releases every response at once
+  /// (asynchronous replication). Degraded channels shrink the *effective*
   /// quorum so a dead replica cannot wedge the shard, with every such
   /// under-quorum release counted as a degraded ack.
   int write_quorum = 2;

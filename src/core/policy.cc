@@ -32,8 +32,6 @@ bool PolicyRule::Matches(const PolicyInput& input) const {
   auto mismatch = [](const std::optional<bool>& want, bool have) {
     return want.has_value() && *want != have;
   };
-  if (mismatch(require_whitelist, input.on_whitelist)) return false;
-  if (mismatch(require_blacklist, input.on_blacklist)) return false;
   if (mismatch(require_valid_signature, input.has_valid_signature)) {
     return false;
   }
@@ -82,86 +80,6 @@ PolicyAction Policy::Evaluate(const PolicyInput& input,
   }
   if (fired_rule != nullptr) *fired_rule = "<default>";
   return default_action_;
-}
-
-Policy Policy::ListsOnly() {
-  Policy policy("lists-only");
-  PolicyRule blacklist;
-  blacklist.name = "blacklist";
-  blacklist.action = PolicyAction::kDeny;
-  blacklist.require_blacklist = true;
-  policy.AddRule(std::move(blacklist));
-
-  PolicyRule whitelist;
-  whitelist.name = "whitelist";
-  whitelist.action = PolicyAction::kAllow;
-  whitelist.require_whitelist = true;
-  policy.AddRule(std::move(whitelist));
-
-  policy.set_default_action(PolicyAction::kAsk);
-  return policy;
-}
-
-Policy Policy::PaperDefault() {
-  Policy policy = ListsOnly();
-  // Reuse the list rules, then extend per §4.2.
-  Policy extended("paper-default");
-  for (const PolicyRule& rule : policy.rules()) extended.AddRule(rule);
-
-  PolicyRule blocked_vendor;
-  blocked_vendor.name = "blocked-vendor";
-  blocked_vendor.action = PolicyAction::kDeny;
-  blocked_vendor.require_vendor_blocked = true;
-  extended.AddRule(std::move(blocked_vendor));
-
-  PolicyRule trusted_signature;
-  trusted_signature.name = "trusted-signature";
-  trusted_signature.action = PolicyAction::kAllow;
-  trusted_signature.require_valid_signature = true;
-  trusted_signature.require_vendor_trusted = true;
-  extended.AddRule(std::move(trusted_signature));
-
-  PolicyRule high_rating;
-  high_rating.name = "rating-above-7.5-no-ads";
-  high_rating.action = PolicyAction::kAllow;
-  high_rating.min_rating = 7.5;
-  high_rating.min_rating_strict = true;
-  high_rating.min_votes = 3;
-  high_rating.forbidden_behaviors =
-      static_cast<BehaviorSet>(Behavior::kShowsAds) |
-      static_cast<BehaviorSet>(Behavior::kPopupAds);
-  extended.AddRule(std::move(high_rating));
-
-  PolicyRule low_rating;
-  low_rating.name = "rating-below-3";
-  low_rating.action = PolicyAction::kDeny;
-  low_rating.max_rating = 3.0;
-  low_rating.max_rating_strict = true;
-  low_rating.min_votes = 3;
-  extended.AddRule(std::move(low_rating));
-
-  extended.set_default_action(PolicyAction::kAsk);
-  return extended;
-}
-
-Policy Policy::CorporateLockdown() {
-  Policy policy("corporate-lockdown");
-
-  PolicyRule whitelist;
-  whitelist.name = "whitelist";
-  whitelist.action = PolicyAction::kAllow;
-  whitelist.require_whitelist = true;
-  policy.AddRule(std::move(whitelist));
-
-  PolicyRule trusted_signature;
-  trusted_signature.name = "trusted-signature";
-  trusted_signature.action = PolicyAction::kAllow;
-  trusted_signature.require_valid_signature = true;
-  trusted_signature.require_vendor_trusted = true;
-  policy.AddRule(std::move(trusted_signature));
-
-  policy.set_default_action(PolicyAction::kDeny);
-  return policy;
 }
 
 }  // namespace pisrep::core

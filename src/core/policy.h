@@ -17,11 +17,9 @@ const char* PolicyActionName(PolicyAction action);
 
 /// Everything the policy engine may condition on for a pending execution
 /// (§4.2: signature status, software and vendor rating, reported
-/// behaviours, list membership).
+/// behaviours). List membership is not an input: the client decides every
+/// white- or black-listed binary before it consults the policy (§3.1).
 struct PolicyInput {
-  bool on_whitelist = false;
-  bool on_blacklist = false;
-
   bool has_valid_signature = false;  ///< verified against the trust store
   bool vendor_trusted = false;       ///< signer explicitly trusted
   bool vendor_blocked = false;       ///< signer explicitly blocked
@@ -49,8 +47,6 @@ struct PolicyRule {
   PolicyAction action = PolicyAction::kAsk;
 
   /// Condition flags; each tri-state optional must equal the input if set.
-  std::optional<bool> require_whitelist;
-  std::optional<bool> require_blacklist;
   std::optional<bool> require_valid_signature;
   std::optional<bool> require_vendor_trusted;
   std::optional<bool> require_vendor_blocked;
@@ -87,7 +83,8 @@ struct PolicyRule {
 /// An ordered rule list with a default action; the first matching rule wins.
 /// This is the §4.2 "software policy manager": corporations or users encode
 /// what may run — e.g. "anything signed by a trusted vendor; otherwise only
-/// software rated above 7.5 that shows no advertisements."
+/// software rated above 7.5 that shows no advertisements." Policies are
+/// written as rule text and built by trust::ParsePolicyRules.
 class Policy {
  public:
   Policy() = default;
@@ -104,20 +101,6 @@ class Policy {
   /// reports which rule fired through `fired_rule` when non-null.
   PolicyAction Evaluate(const PolicyInput& input,
                         std::string* fired_rule = nullptr) const;
-
-  /// The baseline behaviour of the proof-of-concept client (§3.1): honor the
-  /// white/black lists, ask the user about everything else.
-  static Policy ListsOnly();
-
-  /// The paper's §4.2 example policy: whitelisted software runs; blacklisted
-  /// or blocked-vendor software never runs; software signed by a trusted
-  /// vendor runs; other software runs only with rating > 7.5/10 and no
-  /// advertisement behaviours; everything else asks the user.
-  static Policy PaperDefault();
-
-  /// A strict corporate policy: only whitelisted or trusted-signed software
-  /// runs, everything else is denied without asking.
-  static Policy CorporateLockdown();
 
  private:
   std::string name_;

@@ -68,11 +68,6 @@ void RpcServer::AttachObservability(obs::MetricsRegistry* metrics,
   }
 }
 
-std::uint64_t RpcServer::MethodCalls(std::string_view method) const {
-  auto it = method_calls_.find(std::string(method));
-  return it == method_calls_.end() ? 0 : it->second;
-}
-
 obs::Counter* RpcServer::MethodCounter(const std::string& method) {
   auto it = method_counters_.find(method);
   if (it != method_counters_.end()) return it->second;
@@ -146,7 +141,6 @@ void RpcServer::HandleMessage(const Message& message) {
     Result<XmlNode> result = it->second(request);
     if (result.ok()) {
       ++requests_handled_;
-      ++method_calls_[method_name];
       response.SetAttribute("status", "ok");
       // The result element's children, text, and attributes become the
       // response body. "id"/"status"/"code" are reserved for the envelope.

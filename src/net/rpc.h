@@ -76,9 +76,6 @@ class RpcServer {
   /// Requests that arrived in the binary codec.
   std::uint64_t binary_requests() const { return binary_requests_; }
 
-  /// Successful invocations of one method (operations telemetry).
-  std::uint64_t MethodCalls(std::string_view method) const;
-
   /// Wires per-method request counters, per-code error counters and a
   /// handler-duration histogram into `metrics`, and opens a server-side
   /// child span per request on `tracer` (continuing the trace/span ids
@@ -96,7 +93,6 @@ class RpcServer {
   std::string address_;
   ResponseGate response_gate_;
   std::unordered_map<std::string, Method> methods_;
-  std::unordered_map<std::string, std::uint64_t> method_calls_;
   std::uint64_t requests_handled_ = 0;
   std::uint64_t requests_failed_ = 0;
   std::uint64_t binary_requests_ = 0;

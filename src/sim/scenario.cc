@@ -170,7 +170,6 @@ void ScenarioRunner::WireClient(SimHost* host, int index) {
   cfg.username = StrFormat("user_%03d", index);
   cfg.password = StrFormat("pw-%03d!", index);
   cfg.email = StrFormat("user_%03d@example.com", index);
-  cfg.policy = config_.policy;
   cfg.policy_rules = config_.policy_rules;
   cfg.prompts = config_.prompts;
   cfg.cache_ttl = config_.client_cache_ttl;

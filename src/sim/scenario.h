@@ -9,7 +9,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/router.h"
-#include "core/policy.h"
 #include "core/prompt_policy.h"
 #include "net/event_loop.h"
 #include "net/fault_injector.h"
@@ -65,11 +64,9 @@ struct ScenarioConfig {
   /// than a week-one community. 0 starts cold.
   util::Duration community_age = 0;
 
-  /// Client-side policy for reputation hosts.
-  core::Policy policy = core::Policy::ListsOnly();
-  /// Declarative policy rules (PR 10): when non-empty, each client parses
-  /// this text with trust::ParsePolicyRules and it replaces `policy`.
-  std::string policy_rules;
+  /// Client-side policy for reputation hosts, as rule text for
+  /// trust::ParsePolicyRules (see client::ClientApp::Config::policy_rules).
+  std::string policy_rules = "default ask";
   /// Prompt thresholds; defaults are lowered from the paper's 50/2 so a
   /// 30-day simulation generates enough votes (the paper's deployment ran
   /// for months).

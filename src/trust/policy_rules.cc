@@ -68,8 +68,6 @@ Status ApplyCondition(const std::vector<std::string>& words,
     return Status::Ok();
   };
 
-  if (head == "whitelisted") return set_flag(&rule->require_whitelist);
-  if (head == "blacklisted") return set_flag(&rule->require_blacklist);
   if (head == "signed") return set_flag(&rule->require_valid_signature);
   if (head == "vendor-trusted") return set_flag(&rule->require_vendor_trusted);
   if (head == "vendor-blocked") return set_flag(&rule->require_vendor_blocked);
@@ -207,12 +205,7 @@ Result<core::Policy> ParsePolicyRules(std::string_view text,
 }
 
 std::string_view PaperExampleRules() {
-  // Mirrors core::Policy::PaperDefault() rule for rule, plus the expert
-  // advisory deny the signed trust plane adds. ListsOnly ordering puts the
-  // blacklist check first, so the text does too.
   return R"(# pisrep policy — the paper's §4.2 worked example
-deny if blacklisted
-allow if whitelisted
 deny if vendor-blocked
 deny if expert-flagged
 allow if signed-by trusted vendor

@@ -14,11 +14,9 @@ namespace pisrep::trust {
 /// client code). One rule per line, first match wins:
 ///
 ///   # §4.2 worked example
-///   deny if blacklisted
-///   allow if whitelisted
 ///   deny if vendor-blocked
-///   allow if signed-by trusted vendor
 ///   deny if expert-flagged
+///   allow if signed-by trusted vendor
 ///   allow if rating > 7.5 and votes >= 3 and no ads
 ///   deny if rating < 3 and votes >= 3
 ///   default ask
@@ -30,8 +28,7 @@ namespace pisrep::trust {
 ///              | ("rating" | "feed-rating") op number
 ///              | "votes" ">=" integer
 ///              | "no" behaviors | "shows" behaviors
-///   flag      := "whitelisted" | "blacklisted" | "signed"
-///              | "signed-by trusted vendor" | "vendor-trusted"
+///   flag      := "signed" | "signed-by trusted vendor" | "vendor-trusted"
 ///              | "vendor-blocked" | "expert-flagged" | "company-name"
 ///   op        := ">" | ">=" | "<" | "<="
 ///   behaviors := "ads" | behavior token (core::BehaviorFromName)
@@ -41,12 +38,14 @@ namespace pisrep::trust {
 /// while `rating >= 7.5` does.
 /// "no ads" is sugar for shows_ads + popup_ads. The rule's name is its
 /// trimmed source line, which is what per-rule decision metrics report.
+/// The white/black lists are not part of the language: the client decides
+/// every listed binary before it evaluates the policy (§3.1).
 util::Result<core::Policy> ParsePolicyRules(std::string_view text,
                                             std::string_view name);
 
-/// The rule text reproducing core::Policy::PaperDefault() plus the PR 10
-/// expert-flag deny — the worked §4.2 example the README quickstart and
-/// the simulator scenario use.
+/// The paper's §4.2 worked example plus the expert-flag deny of the signed
+/// trust plane — the policy the README quickstart, the examples and the
+/// benches run.
 std::string_view PaperExampleRules();
 
 }  // namespace pisrep::trust

@@ -11,6 +11,7 @@
 #include "client/signature_check.h"
 #include "server/reputation_server.h"
 #include "storage/database.h"
+#include "trust/policy_rules.h"
 #include "util/random.h"
 
 namespace pisrep::client {
@@ -404,7 +405,7 @@ TEST_F(ClientPipelineTest, PolicyAutoAllowsTrustedSignedVendor) {
   crypto::KeyPair acme = crypto::GenerateKeyPair(rng);
 
   ClientApp::Config overrides;
-  overrides.policy = core::Policy::PaperDefault();
+  overrides.policy_rules = std::string(trust::PaperExampleRules());
   auto app = MakeClient("grace", std::move(overrides));
   Onboard(*app);
   app->trust_store().AddCertificate(

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 #include "core/prompt_policy.h"
@@ -156,104 +155,13 @@ TEST(PolicyTest, DefaultActionWhenNothingMatches) {
   EXPECT_EQ(policy.Evaluate(PolicyInput{}), PolicyAction::kDeny);
 }
 
-TEST(PolicyTest, ListsOnlyMirrorsProofOfConcept) {
-  Policy policy = Policy::ListsOnly();
-  PolicyInput input;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAsk);
-  input.on_whitelist = true;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAllow);
-  input.on_whitelist = false;
-  input.on_blacklist = true;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kDeny);
-}
-
-TEST(PolicyTest, PaperDefaultTrustedSignatureAllows) {
-  Policy policy = Policy::PaperDefault();
-  PolicyInput input;
-  input.has_valid_signature = true;
-  input.vendor_trusted = true;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAllow);
-  // Valid signature from an unknown vendor is not enough.
-  input.vendor_trusted = false;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAsk);
-}
-
-TEST(PolicyTest, PaperDefaultRatingRule) {
-  Policy policy = Policy::PaperDefault();
-  // §4.2: "only is allowed if it has a rating over 7.5/10 and does not show
-  // any advertisements."
-  PolicyInput input;
-  input.rating = 8.0;
-  input.vote_count = 5;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAllow);
-
-  input.reported_behaviors = static_cast<BehaviorSet>(Behavior::kShowsAds);
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAsk);
-
-  input.reported_behaviors = kNoBehaviors;
-  input.rating = 7.4;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAsk);
-
-  // Too few votes → not trusted yet.
-  input.rating = 9.0;
-  input.vote_count = 1;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kAsk);
-}
-
-TEST(PolicyTest, PaperDefaultBoundsAreStrict) {
-  // §4.2: "a rating over 7.5/10" — exactly 7.5 (say, votes of 7 and 8 with
-  // equal trust) is not over it, and exactly 3.0 is not below 3.
-  Policy policy = Policy::PaperDefault();
-  PolicyInput input;
-  input.vote_count = 5;
-  std::string fired;
-  input.rating = 7.5;
-  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kAsk);
-  EXPECT_EQ(fired, "<default>");
-  input.rating = std::nextafter(7.5, 10.0);
-  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kAllow);
-  EXPECT_EQ(fired, "rating-above-7.5-no-ads");
-  input.rating = 3.0;
-  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kAsk);
-  EXPECT_EQ(fired, "<default>");
-  input.rating = std::nextafter(3.0, 0.0);
-  EXPECT_EQ(policy.Evaluate(input, &fired), PolicyAction::kDeny);
-  EXPECT_EQ(fired, "rating-below-3");
-}
-
-TEST(PolicyTest, PaperDefaultDeniesBadlyRatedAndBlockedVendors) {
-  Policy policy = Policy::PaperDefault();
-  PolicyInput input;
-  input.rating = 2.0;
-  input.vote_count = 10;
-  EXPECT_EQ(policy.Evaluate(input), PolicyAction::kDeny);
-
-  PolicyInput blocked;
-  blocked.vendor_blocked = true;
-  blocked.rating = 9.9;
-  blocked.vote_count = 100;
-  EXPECT_EQ(policy.Evaluate(blocked), PolicyAction::kDeny);
-}
-
-TEST(PolicyTest, CorporateLockdownDeniesByDefault) {
-  Policy policy = Policy::CorporateLockdown();
-  EXPECT_EQ(policy.Evaluate(PolicyInput{}), PolicyAction::kDeny);
-  PolicyInput trusted;
-  trusted.has_valid_signature = true;
-  trusted.vendor_trusted = true;
-  EXPECT_EQ(policy.Evaluate(trusted), PolicyAction::kAllow);
-  PolicyInput listed;
-  listed.on_whitelist = true;
-  EXPECT_EQ(policy.Evaluate(listed), PolicyAction::kAllow);
-}
-
 // --- PromptScheduler --------------------------------------------------------
 
 SoftwareId PromptId(int i) {
   return util::Sha1::Hash("software-" + std::to_string(i));
 }
 
-TEST(PromptSchedulerTest, PaperDefaultsAreFiftyAndTwo) {
+TEST(PromptSchedulerTest, PaperThresholdsAreFiftyAndTwo) {
   EXPECT_EQ(kExecutionsBeforeRatingPrompt, 50);
   EXPECT_EQ(kMaxRatingPromptsPerWeek, 2);
 }

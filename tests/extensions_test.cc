@@ -352,14 +352,7 @@ TEST(FeedSubscriptionTest, AnalyzerVerdictDrivesSubscribedClientPolicy) {
   config.password = "pw-sub1";
   config.email = "sub@x.com";
   config.subscribed_feed = "security-lab";
-  core::Policy policy("feed-aware");
-  core::PolicyRule deny_lab_flagged;
-  deny_lab_flagged.name = "deny-lab-flagged";
-  deny_lab_flagged.action = core::PolicyAction::kDeny;
-  deny_lab_flagged.max_feed_rating = 4.0;
-  policy.AddRule(deny_lab_flagged);
-  policy.set_default_action(core::PolicyAction::kAsk);
-  config.policy = policy;
+  config.policy_rules = "deny if feed-rating <= 4\ndefault ask";
   config.fallback_decision = client::ExecDecision::kAllow;
 
   client::ClientApp app(&network, &loop, config);

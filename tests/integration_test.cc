@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "server/reputation_server.h"
 #include "sim/attacks.h"
 #include "sim/scenario.h"
 #include "storage/database.h"
+#include "trust/policy_rules.h"
 
 namespace pisrep::sim {
 namespace {
@@ -167,14 +169,14 @@ TEST(ScenarioTest, LateJoinersStillParticipate) {
 }
 
 TEST(ScenarioTest, PolicyManagerReducesPrompts) {
+  // The default policy, `default ask`, is the proof-of-concept client.
   ScenarioConfig ask_everything = SmallScenario(9);
   ask_everything.trust_legit_vendors = false;
-  ask_everything.policy = core::Policy::ListsOnly();
   ScenarioResult baseline = ScenarioRunner(ask_everything).Run();
 
   ScenarioConfig with_policy = SmallScenario(9);
   with_policy.trust_legit_vendors = true;
-  with_policy.policy = core::Policy::PaperDefault();
+  with_policy.policy_rules = std::string(trust::PaperExampleRules());
   ScenarioResult managed = ScenarioRunner(with_policy).Run();
 
   const GroupOutcome& base_rep =
@@ -182,6 +184,9 @@ TEST(ScenarioTest, PolicyManagerReducesPrompts) {
   const GroupOutcome& managed_rep =
       managed.group(ProtectionKind::kReputation);
   EXPECT_LT(managed_rep.prompts, base_rep.prompts);
+  // Every execution under the parsed §4.2 text reached a decision.
+  EXPECT_GT(managed_rep.executions, 0u);
+  EXPECT_EQ(managed_rep.DecisionsResolved(), managed_rep.executions);
 }
 
 TEST(ScenarioTest, CommunityAgeDifferentiatesTrust) {

@@ -307,16 +307,16 @@ TEST(Layering, ClientMayUseProtoButNotServer) {
   EXPECT_TRUE(HasFinding(bad, "layering", "src/client/c.cc", 1));
 }
 
-TEST(Layering, UtilStaysLeafEvenWithThreadPool) {
-  // The thread pool lives in util so every layer may use it; in return it
-  // must depend on nothing above util.
-  auto ok = AnalyzeOne("src/util/thread_pool.cc",
-                       "#include \"util/thread_pool.h\"\n"
+TEST(Layering, UtilStaysLeafEvenWithParallelFor) {
+  // The fan-out lives in util so every layer may use it; in return it must
+  // depend on nothing above util.
+  auto ok = AnalyzeOne("src/util/parallel_for.cc",
+                       "#include \"util/parallel_for.h\"\n"
                        "#include \"util/logging.h\"\n");
   EXPECT_EQ(CountRule(ok, "layering"), 0) << FormatHuman(ok);
-  auto bad = AnalyzeOne("src/util/thread_pool.h",
+  auto bad = AnalyzeOne("src/util/parallel_for.h",
                         "#include \"server/aggregation_job.h\"\n");
-  EXPECT_TRUE(HasFinding(bad, "layering", "src/util/thread_pool.h", 1));
+  EXPECT_TRUE(HasFinding(bad, "layering", "src/util/parallel_for.h", 1));
 }
 
 TEST(Layering, ObsIsBelowEverythingButUtil) {
@@ -593,7 +593,7 @@ TEST(GuardedField, DisciplinedClassIsClean) {
                              "  std::mutex mu_;\n"
                              "  int count_ GUARDED_BY(mu_) = 0;\n"
                              "  std::deque<int> work_ GUARDED_BY(mu_);\n"
-                             "  CondVar cv_;\n"
+                             "  std::condition_variable cv_;\n"
                              "  std::atomic<bool> done_{false};\n"
                              "  static constexpr int kMax_ = 4;\n"
                              "};\n"

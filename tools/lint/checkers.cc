@@ -680,8 +680,7 @@ class UnannotatedGuardedFieldChecker : public Checker {
       if (name == "GUARDED_BY" || name == "PT_GUARDED_BY") return;
       if (name == "static" || name == "constexpr") return;
       if (i < decl &&
-          (name == "atomic" || name == "CondVar" ||
-           name == "condition_variable" ||
+          (name == "atomic" || name == "condition_variable" ||
            name == "condition_variable_any")) {
         return;
       }
