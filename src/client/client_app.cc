@@ -16,6 +16,12 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// Expired-but-present cache entries up to this age still answer prompts
+/// (marked offline) when the server is unreachable.
+constexpr util::Duration kCacheStaleTtl = 24 * util::kHour;
+/// LRU bound on the response cache.
+constexpr std::size_t kCacheMaxEntries = 4096;
+
 /// Parses the QuerySoftware response body into the client's PromptInfo.
 PromptInfo InfoFromXml(const XmlNode& response, const core::SoftwareId& id) {
   PromptInfo info;
@@ -97,9 +103,7 @@ ClientApp::ClientApp(net::SimNetwork* network, net::EventLoop* loop,
                                          : SafetyLists()),
       signature_checker_(&trust_store_),
       prompt_scheduler_(config_.prompts),
-      cache_(config_.cache_ttl, config_.cache_stale_ttl,
-             config_.cache_max_entries),
-      offline_queue_(config_.offline_queue) {
+      cache_(config_.cache_ttl, kCacheStaleTtl, kCacheMaxEntries) {
   interceptor_.SetHandler(
       [this](const FileImage& image, DecisionCallback done) {
         HandleExecution(image, std::move(done));
@@ -402,6 +406,21 @@ void ClientApp::FinishQuery(const core::SoftwareId& id, PromptInfo info,
   done(std::move(info));
 }
 
+obs::Counter* ClientApp::RuleCounter(core::PolicyAction action,
+                                     const std::string& rule) {
+  auto it = rule_counters_.find(rule);
+  if (it != rule_counters_.end()) return it->second;
+  const char* family = action == core::PolicyAction::kAllow
+                           ? "pisrep_trust_policy_allow_total"
+                           : action == core::PolicyAction::kDeny
+                                 ? "pisrep_trust_policy_deny_total"
+                                 : "pisrep_trust_policy_ask_total";
+  obs::Counter* counter =
+      config_.metrics->GetCounter(obs::WithLabel(family, "rule", rule));
+  rule_counters_.emplace(rule, counter);
+  return counter;
+}
+
 void ClientApp::DecideWithInfo(const FileImage& image, PromptInfo info,
                                DecisionCallback done) {
   core::PolicyInput input;
@@ -423,9 +442,6 @@ void ClientApp::DecideWithInfo(const FileImage& image, PromptInfo info,
     input.rating = info.score->score;
     input.vote_count = info.score->vote_count;
   }
-  if (info.vendor_score.has_value()) {
-    input.vendor_rating = info.vendor_score->score;
-  }
   input.reported_behaviors = info.reported_behaviors;
   if (info.feed_entry.has_value()) {
     // §4.2: subscribed expert information is "used in parallel with the
@@ -438,15 +454,7 @@ void ClientApp::DecideWithInfo(const FileImage& image, PromptInfo info,
 
   std::string fired_rule;
   core::PolicyAction action = policy_.Evaluate(input, &fired_rule);
-  if (config_.metrics != nullptr) {
-    const char* family = action == core::PolicyAction::kAllow
-                             ? "pisrep_trust_policy_allow_total"
-                             : action == core::PolicyAction::kDeny
-                                   ? "pisrep_trust_policy_deny_total"
-                                   : "pisrep_trust_policy_ask_total";
-    config_.metrics->GetCounter(obs::WithLabel(family, "rule", fired_rule))
-        ->Increment();
-  }
+  if (config_.metrics != nullptr) RuleCounter(action, fired_rule)->Increment();
   switch (action) {
     case core::PolicyAction::kAllow:
       ++stats_.policy_allowed;

@@ -120,18 +120,11 @@ class ClientApp {
     ExecDecision fallback_decision = ExecDecision::kAllow;
     /// TTL for cached server responses.
     util::Duration cache_ttl = util::kHour;
-    /// Expired-but-present cache entries up to this age still answer
-    /// prompts (marked offline) when the server is unreachable.
-    util::Duration cache_stale_ttl = 24 * util::kHour;
-    /// LRU bound on the response cache.
-    std::size_t cache_max_entries = 4096;
     /// RPC timeout and per-call retry budget (timeouts double per retry).
     util::Duration rpc_timeout = 5 * util::kSecond;
     int rpc_retries = 2;
     /// Per-server circuit breaker (fail fast while the server is down).
     net::RpcClient::BreakerConfig breaker;
-    /// Offline outbox for ratings submitted while the server is down.
-    OfflineQueue::Config offline_queue;
     /// §3.3 countermeasure against polymorphic re-hashing: when the digest
     /// is unknown to the server but the file embeds a company name, fetch
     /// the *vendor* score so the policy/user can judge the publisher even
@@ -247,6 +240,11 @@ class ClientApp {
                    std::function<void(PromptInfo)> done);
   void DecideWithInfo(const FileImage& image, PromptInfo info,
                       DecisionCallback done);
+  /// The `pisrep_trust_policy_<action>_total{rule=...}` counter of a fired
+  /// rule, looked up in the registry on the rule's first decision only.
+  /// The policy never changes, so a rule always fires with one action.
+  obs::Counter* RuleCounter(core::PolicyAction action,
+                            const std::string& rule);
   void PostAllow(const FileImage& image, const PromptInfo& info);
   void MaybePromptForRating(const FileImage& image, const PromptInfo& info);
   void AccumulateRunReport(const core::SoftwareId& id);
@@ -255,6 +253,8 @@ class ClientApp {
   Config config_;
   /// `config_.policy_rules`, parsed once.
   core::Policy policy_;
+  /// RuleCounter's handles, by rule name.
+  std::unordered_map<std::string, obs::Counter*> rule_counters_;
   net::RpcClient rpc_;
   ExecutionInterceptor interceptor_;
   SafetyLists lists_;

@@ -9,15 +9,17 @@ namespace pisrep::client {
 
 namespace {
 using util::StrFormat;
+
+/// Width of the rating bar, in characters.
+constexpr int kBarWidth = 10;
 }  // namespace
 
 std::string PromptRenderer::RatingBar(double score) const {
   double clamped = std::clamp(score, 0.0, 10.0);
-  int filled = static_cast<int>(
-      std::round(clamped / 10.0 * options_.bar_width));
+  int filled = static_cast<int>(std::round(clamped / 10.0 * kBarWidth));
   std::string bar = "[";
   bar.append(static_cast<std::size_t>(filled), '#');
-  bar.append(static_cast<std::size_t>(options_.bar_width - filled), '_');
+  bar.append(static_cast<std::size_t>(kBarWidth - filled), '_');
   bar += "]";
   return StrFormat("%s %.1f/10", bar.c_str(), clamped);
 }

@@ -17,8 +17,6 @@ namespace pisrep::client {
 class PromptRenderer {
  public:
   struct Options {
-    /// Width of the rating bar, in characters.
-    int bar_width = 10;
     /// Max comments included.
     std::size_t max_comments = 3;
   };

@@ -18,6 +18,9 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// Timeout of one replica digest fetch.
+constexpr util::Duration kRpcTimeout = 2 * util::kSecond;
+
 std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
   auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
   if (!parsed.ok() || *parsed < 0) return 0;
@@ -185,7 +188,7 @@ void AntiEntropyAgent::RunSweep() {
               << " diverged at equal WAL position; forcing snapshot resync";
           shipper_->ForceResync(k);
         },
-        config_.rpc_timeout);
+        kRpcTimeout);
   }
   ScheduleSweep();
 }

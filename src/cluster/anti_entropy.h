@@ -21,7 +21,6 @@ struct AntiEntropyConfig {
   /// Interval between sweeps. Anti-entropy is a safety net behind WAL
   /// shipping, not a delivery mechanism, so it runs coarse by default.
   util::Duration period = 30 * util::kSecond;
-  util::Duration rpc_timeout = 2 * util::kSecond;
 };
 
 /// Key-range digest buckets: rows hash into one of these by the first

@@ -330,7 +330,7 @@ ShardCluster::ShardCluster(net::SimNetwork* network, net::EventLoop* loop,
     : network_(network),
       loop_(loop),
       config_(std::move(config)),
-      ring_(config_.vnodes_per_shard) {
+      ring_(kVnodesPerShard) {
   PISREP_CHECK(config_.num_shards > 0) << "a cluster needs at least one shard";
   config_.server.accounts.deterministic_tokens = true;
   for (int i = 0; i < config_.num_shards; ++i) {
@@ -493,12 +493,6 @@ Status ShardCluster::OnGossipDeath(const std::string& name) {
 }
 
 Status ShardCluster::ReviveReplica(int i) { return shard(i)->StartReplicas(); }
-
-std::uint64_t ShardCluster::failovers_refused() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->promotions_refused();
-  return total;
-}
 
 // ---------------------------------------------------------------------------
 // Elastic membership

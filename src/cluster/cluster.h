@@ -32,7 +32,6 @@ struct ClusterConfig {
   /// failovers, which is what makes promotion transparent to the router.
   /// Shards added later continue the ordinal sequence.
   std::string name_prefix = "shard";
-  int vnodes_per_shard = 64;
   /// Template for every shard's server. `accounts.deterministic_tokens` is
   /// forced on — cluster sessions and activation tokens must validate on
   /// every shard and survive a failover.
@@ -228,7 +227,6 @@ class ShardCluster {
   util::Status OnGossipDeath(const std::string& name);
 
   std::uint64_t failovers() const { return failovers_; }
-  std::uint64_t failovers_refused() const;
 
   // ------------------------------------------------------------------
   // Elastic membership (live resharding)

@@ -14,6 +14,9 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// Timeout of one digest exchange with a peer.
+constexpr util::Duration kRpcTimeout = 2 * util::kSecond;
+
 std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
   auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
   if (!parsed.ok() || *parsed < 0) return 0;
@@ -122,7 +125,7 @@ void GossipAgent::RunRound() {
           if (alive.expired()) return;
           if (result.ok()) MergeDigest(*result);
         },
-        config_.rpc_timeout);
+        kRpcTimeout);
   }
   CheckSuspicions();
   ScheduleRound();
@@ -158,7 +161,6 @@ void GossipAgent::CheckSuspicions() {
       }
     }
     if (executor != self_) continue;
-    ++suspicions_;
     if (suspicions_metric_) suspicions_metric_->Increment();
     PISREP_LOG(kWarning) << self_ << " suspects " << member
                          << " dead (heartbeat silent for "

@@ -29,7 +29,6 @@ struct GossipConfig {
   /// A peer whose heartbeat has not advanced for this long is suspected
   /// dead; the designated successor then tries to fence and promote it.
   util::Duration suspicion_timeout = 6 * util::kSecond;
-  util::Duration rpc_timeout = 2 * util::kSecond;
 };
 
 /// One shard's view of the gossip plane: a monotone heartbeat for itself,
@@ -75,7 +74,6 @@ class GossipAgent {
 
   std::uint64_t heartbeat() const { return heartbeat_; }
   std::uint64_t rounds() const { return rounds_; }
-  std::uint64_t suspicions() const { return suspicions_; }
 
   /// True when `peer`'s heartbeat has been silent past the suspicion
   /// timeout in this agent's local view.
@@ -103,7 +101,6 @@ class GossipAgent {
 
   std::uint64_t heartbeat_ = 0;
   std::uint64_t rounds_ = 0;
-  std::uint64_t suspicions_ = 0;
   std::size_t next_peer_ = 0;
   /// Sorted so suspicion checks walk peers in a deterministic order.
   std::map<std::string, PeerState> peers_;

@@ -11,6 +11,11 @@
 
 namespace pisrep::cluster {
 
+/// Virtual points per shard on the cluster's ring. The router and the
+/// shards' ownership guards each build a ring from it, so they agree on
+/// which shard owns a title.
+inline constexpr int kVnodesPerShard = 64;
+
 /// Consistent-hash ring over the SHA-1 digest space.
 ///
 /// The paper identifies every software by its SHA-1 digest (§3.3); the
@@ -31,7 +36,7 @@ namespace pisrep::cluster {
 ///    populations in cluster_test.
 class HashRing {
  public:
-  explicit HashRing(int vnodes_per_shard = 64);
+  explicit HashRing(int vnodes_per_shard = kVnodesPerShard);
 
   /// Adds a member; no-op when already present.
   void AddShard(const std::string& name);

@@ -17,6 +17,20 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// Bounded catch-up: the primary retains at most this many unacked WAL
+/// records. A replica that falls further behind cannot be caught up from
+/// the log any more and is re-seeded with a full snapshot instead.
+constexpr std::size_t kMaxLogRecords = 8192;
+/// Records shipped per RPC batch.
+constexpr std::size_t kMaxBatchRecords = 128;
+/// Per-batch RPC timeout.
+constexpr util::Duration kShipTimeout = 2 * util::kSecond;
+/// Delay before re-probing an unreachable replica.
+constexpr util::Duration kRetryDelay = 2 * util::kSecond;
+/// Consecutive shipping failures before a replica's channel is marked
+/// degraded and stops counting toward (or blocking) the write quorum.
+constexpr int kDegradedAfterFailures = 3;
+
 std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
   auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
   if (!parsed.ok() || *parsed < 0) return 0;
@@ -227,7 +241,7 @@ ReplicationShipper::ReplicationShipper(
       loop_(loop),
       db_(primary_db),
       config_(config),
-      log_(config.max_log_records) {
+      log_(kMaxLogRecords) {
   // The shipper runs its own retry/resync state machine; the generic client
   // breaker would only add a second layer of fast-fails on top of it.
   net::RpcClient::BreakerConfig breaker;
@@ -293,14 +307,6 @@ bool ReplicationShipper::degraded() const {
 
 const std::string& ReplicationShipper::replica_address(int k) const {
   return channels_[static_cast<std::size_t>(k)].address;
-}
-
-std::uint64_t ReplicationShipper::channel_acked(int k) const {
-  return channels_[static_cast<std::size_t>(k)].acked;
-}
-
-bool ReplicationShipper::channel_degraded(int k) const {
-  return channels_[static_cast<std::size_t>(k)].degraded;
 }
 
 bool ReplicationShipper::channel_caught_up(int k) const {
@@ -372,7 +378,7 @@ void ReplicationShipper::PumpChannel(std::size_t k) {
     return;
   }
   std::vector<std::pair<std::uint64_t, std::string>> batch;
-  if (!log_.CollectAfter(channel.acked, config_.max_batch_records, &batch) ||
+  if (!log_.CollectAfter(channel.acked, kMaxBatchRecords, &batch) ||
       batch.empty()) {
     return;
   }
@@ -388,7 +394,7 @@ void ReplicationShipper::PumpChannel(std::size_t k) {
         if (alive.expired()) return;
         HandleShipResult(k, /*was_reset=*/false, std::move(result));
       },
-      config_.ship_timeout);
+      kShipTimeout);
 }
 
 void ReplicationShipper::SendSnapshot(std::size_t k) {
@@ -412,7 +418,7 @@ void ReplicationShipper::SendSnapshot(std::size_t k) {
                          << "; retrying";
     if (!channel.retry_scheduled) {
       channel.retry_scheduled = true;
-      loop_->ScheduleAfter(config_.retry_delay,
+      loop_->ScheduleAfter(kRetryDelay,
                            [this, k, alive = std::weak_ptr<int>(alive_)] {
                              if (alive.expired()) return;
                              channels_[k].retry_scheduled = false;
@@ -430,7 +436,7 @@ void ReplicationShipper::SendSnapshot(std::size_t k) {
         if (alive.expired()) return;
         HandleShipResult(k, /*was_reset=*/true, std::move(result));
       },
-      config_.ship_timeout);
+      kShipTimeout);
 }
 
 void ReplicationShipper::HandleShipResult(std::size_t k, bool was_reset,
@@ -440,7 +446,7 @@ void ReplicationShipper::HandleShipResult(std::size_t k, bool was_reset,
   if (!result.ok()) {
     ++channel.failures;
     if (!channel.degraded &&
-        channel.failures >= config_.degraded_after_failures) {
+        channel.failures >= kDegradedAfterFailures) {
       EnterDegraded(channel);
     }
     // Keep probing while responses are still gated; once degraded with
@@ -448,7 +454,7 @@ void ReplicationShipper::HandleShipResult(std::size_t k, bool was_reset,
     // the replica is revived) restart shipping.
     if ((!channel.degraded || !gates_.empty()) && !channel.retry_scheduled) {
       channel.retry_scheduled = true;
-      loop_->ScheduleAfter(config_.retry_delay,
+      loop_->ScheduleAfter(kRetryDelay,
                            [this, k, alive = std::weak_ptr<int>(alive_)] {
                              if (alive.expired()) return;
                              channels_[k].retry_scheduled = false;

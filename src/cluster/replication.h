@@ -29,19 +29,6 @@ std::string ReplicaAddress(const std::string& shard, int k);
 
 /// Tuning for one shard's primary→replicas replication fan-out.
 struct ReplicationConfig {
-  /// Bounded catch-up: the primary retains at most this many unacked WAL
-  /// records. A replica that falls further behind cannot be caught up from
-  /// the log any more and is re-seeded with a full snapshot instead.
-  std::size_t max_log_records = 8192;
-  /// Records shipped per RPC batch.
-  std::size_t max_batch_records = 128;
-  /// Per-batch RPC timeout.
-  util::Duration ship_timeout = 2 * util::kSecond;
-  /// Delay before re-probing an unreachable replica.
-  util::Duration retry_delay = 2 * util::kSecond;
-  /// Consecutive shipping failures before a replica's channel is marked
-  /// degraded and stops counting toward (or blocking) the write quorum.
-  int degraded_after_failures = 3;
   /// Total copies of the shard's data including the primary (R). The shard
   /// stands up replication_factor - 1 ReplicaNodes behind its primary.
   int replication_factor = 2;
@@ -194,8 +181,6 @@ class ReplicationShipper {
 
   int replica_count() const { return static_cast<int>(channels_.size()); }
   const std::string& replica_address(int k) const;
-  std::uint64_t channel_acked(int k) const;
-  bool channel_degraded(int k) const;
   /// True when channel k holds everything the primary logged (and no
   /// snapshot is pending) — the precondition for digest comparison.
   bool channel_caught_up(int k) const;

@@ -22,6 +22,17 @@ using xml::XmlNode;
 
 constexpr std::string_view kApplyRemarkMethod = "ClusterApplyRemark";
 
+/// Per-forwarded-call RPC timeout; also bounds each leg of a vendor-index
+/// round, and so how long a reply waits for one.
+constexpr util::Duration kCallTimeout = 5 * util::kSecond;
+/// A broadcast leg to an unreachable shard is tried this many times
+/// (deferred retry: it holds that shard's pipeline, never the others),
+/// sized to ride out a failover detection + promotion cycle.
+constexpr int kLegAttempts = 5;
+constexpr util::Duration kLegRetryDelay = 2 * util::kSecond;
+/// Ownership-moved redirects followed per request.
+constexpr int kMaxRedirects = 3;
+
 bool IsTransportError(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||
          status.code() == StatusCode::kDataLoss;
@@ -69,7 +80,7 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
       config_(std::move(config)),
       rpc_(network, loop, config_.service_address + "!up",
            /*server_address=*/""),
-      ring_(config_.vnodes_per_shard),
+      ring_(kVnodesPerShard),
       nonce_rng_(config_.nonce_seed),
       metrics_(metrics) {
   // The router retries broadcast legs itself (deferred per-shard retry);
@@ -152,7 +163,7 @@ void Router::HandleMessage(const net::Message& message) {
     // the checks. The answer comes from the vendor index (ForwardTo).
     ForwardTo(ring_.OwnerOf(util::Sha1::Hash(
                   request.ChildText("vendor").value_or(""))),
-              method, request, message.from, id, config_.max_redirects);
+              method, request, message.from, id, kMaxRedirects);
   } else if (IsDigestRoutedMethod(method)) {
     RouteByDigest(message, request, method, id);
   } else {
@@ -210,7 +221,7 @@ void Router::RouteByDigest(const net::Message& message,
     return;
   }
   ForwardTo(ring_.OwnerOf(*digest), method, request, message.from, id,
-            config_.max_redirects);
+            kMaxRedirects);
 }
 
 void Router::ForwardTo(const std::string& shard, const std::string& method,
@@ -316,7 +327,7 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
         }
         Reply(client, id, std::move(result));
       },
-      config_.call_timeout);
+      kCallTimeout);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +356,7 @@ void Router::Broadcast(const net::Message& message, XmlNode request,
     item.request = request;
     item.op = op;
     item.shard_index = static_cast<int>(i);
-    item.attempts_left = config_.leg_attempts;
+    item.attempts_left = kLegAttempts;
     pipelines_[members[i]].queue.push_back(std::move(item));
     PumpShard(members[i]);
   }
@@ -356,7 +367,7 @@ void Router::EnqueueEffect(const std::string& shard,
   PipelineItem item;
   item.method = method;
   item.request = std::move(request);
-  item.attempts_left = config_.leg_attempts;
+  item.attempts_left = kLegAttempts;
   pipelines_[shard].queue.push_back(std::move(item));
   PumpShard(shard);
 }
@@ -389,7 +400,7 @@ void Router::IssueHead(const std::string& shard) {
           // mid-broadcast is not retried: its leg completes with the
           // error, which FinishBroadcastOp discounts.
           --head.attempts_left;
-          loop_->ScheduleAfter(config_.leg_retry_delay,
+          loop_->ScheduleAfter(kLegRetryDelay,
                                [this, shard,
                                 alive = std::weak_ptr<int>(alive_)] {
                                  if (alive.expired()) return;
@@ -411,7 +422,7 @@ void Router::IssueHead(const std::string& shard) {
         p.busy = false;
         PumpShard(shard);
       },
-      config_.call_timeout);
+      kCallTimeout);
 }
 
 void Router::FinishBroadcastOp(const std::shared_ptr<BroadcastOp>& op) {
@@ -498,7 +509,7 @@ void Router::WithVendorIndex(const std::string& shard,
           round->legs[i] = std::move(result);
           if (--round->pending == 0) FinishVendorRound(*round);
         },
-        config_.call_timeout);
+        kCallTimeout);
   }
 }
 

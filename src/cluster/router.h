@@ -32,22 +32,11 @@ bool IsDigestRoutedMethod(const std::string& method);
 util::Result<util::Sha1Digest> RoutingDigestOf(const std::string& method,
                                                const xml::XmlNode& request);
 
-/// Router tuning.
+/// Router settings.
 struct RouterConfig {
   /// The address the router binds — clients talk to it exactly as they
   /// would to a single server ("server" in the sim).
   std::string service_address = "server";
-  int vnodes_per_shard = 64;
-  /// Per-forwarded-call RPC timeout; also bounds each leg of a
-  /// vendor-index round, and so how long a reply waits for one.
-  util::Duration call_timeout = 5 * util::kSecond;
-  /// A broadcast leg to an unreachable shard is retried this many times
-  /// (deferred retry: it holds that shard's pipeline, never the others) —
-  /// sized to ride out a failover detection + promotion cycle.
-  int leg_attempts = 5;
-  util::Duration leg_retry_delay = 2 * util::kSecond;
-  /// Ownership-moved redirects followed per request.
-  int max_redirects = 3;
   /// Seed for the router's puzzle-nonce stream.
   std::uint64_t nonce_seed = 0x9047e5;
 };

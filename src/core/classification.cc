@@ -5,30 +5,6 @@
 
 namespace pisrep::core {
 
-const char* ConsentLevelName(ConsentLevel level) {
-  switch (level) {
-    case ConsentLevel::kLow:
-      return "low";
-    case ConsentLevel::kMedium:
-      return "medium";
-    case ConsentLevel::kHigh:
-      return "high";
-  }
-  return "?";
-}
-
-const char* ConsequenceLevelName(ConsequenceLevel level) {
-  switch (level) {
-    case ConsequenceLevel::kTolerable:
-      return "tolerable";
-    case ConsequenceLevel::kModerate:
-      return "moderate";
-    case ConsequenceLevel::kSevere:
-      return "severe";
-  }
-  return "?";
-}
-
 const char* PisCategoryName(PisCategory category) {
   switch (category) {
     case PisCategory::kLegitimate:

@@ -33,8 +33,6 @@ enum class PisCategory : std::uint8_t {
   kParasite = 9,         ///< low consent, severe consequences
 };
 
-const char* ConsentLevelName(ConsentLevel level);
-const char* ConsequenceLevelName(ConsequenceLevel level);
 /// The cell label used in Table 1 ("Legitimate software", "Double agents"…).
 const char* PisCategoryName(PisCategory category);
 

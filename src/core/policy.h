@@ -16,9 +16,10 @@ enum class PolicyAction : std::uint8_t { kAllow = 0, kDeny = 1, kAsk = 2 };
 const char* PolicyActionName(PolicyAction action);
 
 /// Everything the policy engine may condition on for a pending execution
-/// (§4.2: signature status, software and vendor rating, reported
-/// behaviours). List membership is not an input: the client decides every
-/// white- or black-listed binary before it consults the policy (§3.1).
+/// (§4.2: signature status, software rating, reported behaviours). No rule
+/// condition reads §4.2's vendor rating yet, so it is not an input. List
+/// membership is not one either: the client decides every white- or
+/// black-listed binary before it consults the policy (§3.1).
 struct PolicyInput {
   bool has_valid_signature = false;  ///< verified against the trust store
   bool vendor_trusted = false;       ///< signer explicitly trusted
@@ -27,7 +28,6 @@ struct PolicyInput {
 
   std::optional<double> rating;         ///< community score, absent if unrated
   int vote_count = 0;
-  std::optional<double> vendor_rating;  ///< derived vendor score
   /// Score from a subscribed expert feed (§4.2 subscriptions), if the feed
   /// has assessed this binary.
   std::optional<double> feed_rating;

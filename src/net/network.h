@@ -50,7 +50,6 @@ class SimNetwork {
   /// Attaches (or detaches, with nullptr) a fault plane consulted on every
   /// send. The injector must outlive the network or be detached first.
   void AttachFaultInjector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() { return injector_; }
 
   /// Registers `address`; fails if it is already bound.
   util::Status Bind(std::string_view address, Handler handler);

@@ -154,7 +154,6 @@ class RpcClient {
   /// the server, which the pisrep API tolerates (duplicate votes are
   /// rejected, queries are read-only, counters are best-effort).
   void set_max_retries(int retries) { max_retries_ = retries; }
-  int max_retries() const { return max_retries_; }
 
   /// Wire codec for outgoing requests. The server detects the codec per
   /// frame and answers in kind, so this is the whole client-side
@@ -163,7 +162,6 @@ class RpcClient {
   proto::WireCodec codec() const { return codec_; }
 
   void set_breaker(BreakerConfig config) { breaker_config_ = config; }
-  const BreakerConfig& breaker_config() const { return breaker_config_; }
   /// Breaker state for the default server (constructor `server_address`).
   BreakerState breaker_state() const {
     return breaker_state_for(server_address_);

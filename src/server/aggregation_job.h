@@ -115,13 +115,11 @@ class AggregationJob {
   /// Forces a full sweep every `n` runs; 0 disables the periodic guard
   /// (the first run and the explicit escape hatch still sweep fully).
   void set_full_sweep_every(std::uint64_t n) { full_sweep_every_ = n; }
-  std::uint64_t full_sweep_every() const { return full_sweep_every_; }
 
   /// When on, each run records the ids it recomputed in
   /// AggregationStats::recomputed_ids (consumed by the tiered server's
   /// snapshot-pinning hook). Off by default — the vector can be large.
   void set_collect_recomputed(bool collect) { collect_recomputed_ = collect; }
-  bool collect_recomputed() const { return collect_recomputed_; }
 
   /// Recomputes scores as of `now` — incrementally, unless `full_sweep`
   /// asks for the paper's recompute-everything behaviour. Returns the
@@ -158,8 +156,6 @@ class AggregationJob {
   /// Stops the periodic schedule. Already-queued loop events become
   /// no-ops, so this is safe to call at any point (server shutdown).
   void CancelSchedule() { schedule_token_.reset(); }
-
-  bool scheduled() const { return schedule_token_ != nullptr; }
 
   std::uint64_t runs() const { return runs_; }
 

@@ -20,7 +20,6 @@ Status ModerationQueue::ApproveNext() {
   if (queue_.empty()) return Status::NotFound("moderation queue is empty");
   PendingComment comment = queue_.front();
   queue_.pop_front();
-  ++approved_;
   Status status = votes_->SetApproved(comment.author, comment.software, true);
   if (status.ok() && observer_) observer_(comment, true);
   return status;

@@ -48,7 +48,6 @@ class ModerationQueue {
   /// Rejects the oldest pending comment; it stays invisible forever.
   util::Status RejectNext();
 
-  std::uint64_t approved_count() const { return approved_; }
   std::uint64_t rejected_count() const { return rejected_; }
 
   /// Called after every moderation decision with the comment and whether
@@ -60,7 +59,6 @@ class ModerationQueue {
  private:
   VoteStore* votes_;
   std::deque<PendingComment> queue_;
-  std::uint64_t approved_ = 0;
   std::uint64_t rejected_ = 0;
   Observer observer_;
 };

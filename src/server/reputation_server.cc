@@ -18,6 +18,14 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// How often the tiered storage engine's eviction schedule runs
+/// (storage::Database::TierTick: fault promotion, age/LRU demotion,
+/// cold-store GC) when the database is tiered and a loop is attached.
+constexpr util::Duration kTierTickPeriod = util::kHour;
+/// Upper bound on score rows pinned resident under the published snapshot;
+/// recomputed ids beyond it stay demotable (they fault back in on demand).
+constexpr std::size_t kMaxPinnedScores = 10000;
+
 Result<core::SoftwareMeta> MetaFromXml(const XmlNode& node) {
   core::SoftwareMeta meta;
   PISREP_ASSIGN_OR_RETURN(std::string id_hex, node.Attribute("id"));
@@ -126,11 +134,10 @@ ReputationServer::ReputationServer(storage::Database* db,
   });
   PublishSnapshot();
   UpdateStorageMetrics();
-  if (loop_ != nullptr && db_->tier_enabled() &&
-      config_.tier_tick_period > 0) {
+  if (loop_ != nullptr && db_->tier_enabled()) {
     tier_token_ = std::make_shared<int>(0);
     loop_->SchedulePeriodic(
-        loop_->Now() + config_.tier_tick_period, config_.tier_tick_period,
+        loop_->Now() + kTierTickPeriod, kTierTickPeriod,
         [this, token = std::weak_ptr<int>(tier_token_)] {
           if (token.expired()) return;
           TierTickNow();
@@ -277,8 +284,8 @@ void ReputationServer::RepinScores(const AggregationStats& stats) {
   if (!db_->tier_enabled()) return;
   registry_.UnpinScores(pinned_scores_);
   pinned_scores_ = stats.recomputed_ids;
-  if (pinned_scores_.size() > config_.max_pinned_scores) {
-    pinned_scores_.resize(config_.max_pinned_scores);
+  if (pinned_scores_.size() > kMaxPinnedScores) {
+    pinned_scores_.resize(kMaxPinnedScores);
   }
   registry_.PinScores(pinned_scores_);
 }

@@ -109,15 +109,6 @@ class ReputationServer {
     /// lose meta-moderation (remarks need linkable authorship).
     bool pseudonymous_votes = false;
     std::string pseudonym_secret = "pisrep-pseudonym-secret";
-    /// How often the tiered storage engine's eviction schedule runs
-    /// (storage::Database::TierTick: fault promotion, age/LRU demotion,
-    /// cold-store GC) when the database is tiered and a loop is attached.
-    /// 0 disables the schedule (TierTick can still be driven manually).
-    util::Duration tier_tick_period = util::kHour;
-    /// Upper bound on score rows pinned resident under the published
-    /// snapshot; recomputed ids beyond it stay demotable (they fault back
-    /// in on demand).
-    std::size_t max_pinned_scores = 10000;
     /// Observability (optional, both null by default — instrumented paths
     /// then cost one branch each). Neither is owned; both must outlive the
     /// server. The registry feeds the `/metrics` portal endpoint, the
@@ -285,7 +276,6 @@ class ReputationServer {
   }
   VoteStore& votes() { return votes_; }
   SoftwareRegistry& registry() { return registry_; }
-  FloodGuard& flood_guard() { return flood_; }
   ModerationQueue& moderation() { return moderation_; }
   FeedStore& feeds() { return feeds_; }
   AggregationJob& aggregation() { return aggregation_; }

@@ -89,8 +89,6 @@ class SoftwareRegistry {
   /// change order (incremental-aggregation input). Consuming clears it.
   std::vector<core::SoftwareId> TakeDirtyPriors();
 
-  std::size_t DirtyPriorCount() const { return dirty_prior_order_.size(); }
-
   util::Status PutVendorScore(const core::VendorScore& score);
   util::Result<core::VendorScore> GetVendorScore(
       const core::VendorId& vendor) const;

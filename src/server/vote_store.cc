@@ -137,11 +137,6 @@ Status VoteStore::SubmitRating(const core::RatingRecord& record,
   return Status::Ok();
 }
 
-bool VoteStore::HasVoted(core::UserId user,
-                         const SoftwareId& software) const {
-  return ratings_->Contains(Value::Str(VoteKey(user, software)));
-}
-
 std::vector<StoredRating> VoteStore::VotesForSoftware(
     const SoftwareId& software) const {
   std::vector<StoredRating> out;
@@ -276,13 +271,6 @@ Status VoteStore::SubmitRemark(const Remark& remark) {
   }));
   if (remarks_metric_) remarks_metric_->Increment();
   return Status::Ok();
-}
-
-bool VoteStore::HasRemarked(core::UserId rater, core::UserId author,
-                            const SoftwareId& software) const {
-  std::string key =
-      std::to_string(rater) + ":" + CommentKey(author, software);
-  return remarks_->Contains(Value::Str(key));
 }
 
 std::int64_t VoteStore::RemarkBalance(core::UserId author,

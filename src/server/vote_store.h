@@ -56,8 +56,6 @@ class VoteStore {
                             bool approved = true,
                             double trust_snapshot = 0.0);
 
-  bool HasVoted(core::UserId user, const core::SoftwareId& software) const;
-
   /// All votes cast on `software` (regardless of comment approval — scores
   /// count every vote; moderation only gates comment visibility).
   std::vector<StoredRating> VotesForSoftware(
@@ -87,9 +85,6 @@ class VoteStore {
   /// responsible for routing the trust-factor consequence to the account
   /// manager.
   util::Status SubmitRemark(const Remark& remark);
-
-  bool HasRemarked(core::UserId rater, core::UserId author,
-                   const core::SoftwareId& software) const;
 
   /// Net remark balance (positives − negatives) for a comment.
   std::int64_t RemarkBalance(core::UserId author,

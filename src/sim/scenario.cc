@@ -506,17 +506,34 @@ void ScenarioRunner::RestartServer() {
 }
 
 void ScenarioRunner::ScheduleChaos(util::TimePoint start) {
-  const ScenarioConfig::ChaosConfig& chaos = config_.chaos;
-  if (!chaos.enabled) return;
-  injector_.IsolateWindow(start + chaos.partition_start,
-                          start + chaos.partition_end, "server");
+  if (!config_.chaos.enabled) return;
+  // Offsets are relative to the start of the execution phase. The windows
+  // keep clear of onboarding (first hour, plus `join_spread` when late
+  // joiners are on): onboarding retries hourly, so hosts that happen to
+  // join mid-fault simply come up late.
+  //
+  // Server isolated from the whole client population.
+  constexpr util::Duration kPartitionStart = 5 * util::kDay;
+  constexpr util::Duration kPartitionEnd = 6 * util::kDay;
+  // Server process down: Stop() at start, then a new server over the same
+  // database (WAL replay is the recovery path). Sessions are lost; clients
+  // re-login automatically when replaying queued ratings.
+  constexpr util::Duration kCrashStart = 12 * util::kDay;
+  constexpr util::Duration kCrashEnd = 12 * util::kDay + 6 * util::kHour;
+  // Degraded-network window: extra loss, duplication and corruption.
+  constexpr util::Duration kDegradeStart = 20 * util::kDay;
+  constexpr util::Duration kDegradeEnd = 22 * util::kDay;
+  constexpr double kDegradeLoss = 0.10;
+  constexpr double kDegradeDuplication = 0.02;
+  constexpr double kDegradeCorruption = 0.05;
+  injector_.IsolateWindow(start + kPartitionStart, start + kPartitionEnd,
+                          "server");
   injector_.ScheduleWindow(
-      start + chaos.crash_start, start + chaos.crash_end,
-      [this] { CrashServer(); }, [this] { RestartServer(); });
-  injector_.DegradeWindow(start + chaos.degrade_start,
-                          start + chaos.degrade_end, chaos.degrade_loss,
-                          chaos.degrade_duplication,
-                          chaos.degrade_corruption);
+      start + kCrashStart, start + kCrashEnd, [this] { CrashServer(); },
+      [this] { RestartServer(); });
+  injector_.DegradeWindow(start + kDegradeStart, start + kDegradeEnd,
+                          kDegradeLoss, kDegradeDuplication,
+                          kDegradeCorruption);
 }
 
 ScenarioResult ScenarioRunner::Collect() {

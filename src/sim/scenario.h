@@ -115,31 +115,14 @@ struct ScenarioConfig {
   /// (durability integration testing); empty keeps it in-memory.
   std::string server_db_path;
 
-  /// Scripted fault schedule (chaos engineering): drives the FaultInjector
-  /// and the server lifecycle through three windows, exercising every
-  /// degradation path at once — stale-cache prompts and offline outboxes
-  /// during the partition, session recovery after the crash, retry/breaker
-  /// behaviour under loss and corruption. Offsets are relative to the
-  /// start of the execution phase. Keep the windows clear of onboarding
-  /// (first hour, plus `join_spread` when late joiners are on): onboarding
-  /// retries hourly, so hosts that happen to join mid-fault simply come up
-  /// late.
+  /// Scripted fault schedule (chaos engineering): when enabled, drives the
+  /// FaultInjector and the server lifecycle through three fixed windows
+  /// (ScenarioRunner::ScheduleChaos), exercising every degradation path at
+  /// once — stale-cache prompts and offline outboxes during the partition,
+  /// session recovery after the crash, retry/breaker behaviour under loss
+  /// and corruption.
   struct ChaosConfig {
     bool enabled = false;
-    /// Server isolated from the whole client population.
-    util::Duration partition_start = 5 * util::kDay;
-    util::Duration partition_end = 6 * util::kDay;
-    /// Server process down: Stop() at start, then a new server over the
-    /// same database (WAL replay is the recovery path). Sessions are lost;
-    /// clients re-login automatically when replaying queued ratings.
-    util::Duration crash_start = 12 * util::kDay;
-    util::Duration crash_end = 12 * util::kDay + 6 * util::kHour;
-    /// Degraded-network window: extra loss, duplication and corruption.
-    util::Duration degrade_start = 20 * util::kDay;
-    util::Duration degrade_end = 22 * util::kDay;
-    double degrade_loss = 0.10;
-    double degrade_duplication = 0.02;
-    double degrade_corruption = 0.05;
   };
   ChaosConfig chaos;
 

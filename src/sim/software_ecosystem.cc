@@ -16,6 +16,13 @@ using core::ConsentLevel;
 using core::ConsequenceLevel;
 using core::PisCategory;
 
+/// Probability that an honest vendor signs a given binary.
+constexpr double kSignedFractionLegit = 0.8;
+/// Probability that a PIS vendor signs (rare; certificates burn).
+constexpr double kSignedFractionPis = 0.05;
+/// Probability that a PIS vendor strips its company name (§3.3 signal).
+constexpr double kAnonymousPisFraction = 0.4;
+
 /// Candidate behaviours per consequence column, used so generated behaviour
 /// sets are consistent with the ground-truth category.
 const std::vector<Behavior>& SevereBehaviors() {
@@ -191,7 +198,7 @@ SoftwareEcosystem SoftwareEcosystem::Generate(const EcosystemConfig& config) {
 
     // §3.3: some PIS vendors strip the company name from the binary.
     std::string company = vendor.name;
-    if (is_pis && rng.NextBool(config.anonymous_pis_fraction)) {
+    if (is_pis && rng.NextBool(kAnonymousPisFraction)) {
       company.clear();
     }
 
@@ -205,8 +212,8 @@ SoftwareEcosystem SoftwareEcosystem::Generate(const EcosystemConfig& config) {
     spec.image =
         client::FileImage(file_name, content, company, version);
 
-    double sign_prob = vendor.legitimate ? config.signed_fraction_legit
-                                         : config.signed_fraction_pis;
+    double sign_prob =
+        vendor.legitimate ? kSignedFractionLegit : kSignedFractionPis;
     if (!company.empty() && rng.NextBool(sign_prob)) {
       spec.image.Sign(vendor.name, vendor.keys.private_key);
     }

@@ -57,12 +57,6 @@ struct EcosystemConfig {
       0.08,   // 8 trojans
       0.04,   // 9 parasites
   };
-  /// Probability that an honest vendor signs a given binary.
-  double signed_fraction_legit = 0.8;
-  /// Probability that a PIS vendor signs (rare; certificates burn).
-  double signed_fraction_pis = 0.05;
-  /// Probability that a PIS vendor strips its company name (§3.3 signal).
-  double anonymous_pis_fraction = 0.4;
   /// Zipf exponent for popularity.
   double zipf_exponent = 1.0;
   std::uint64_t seed = 42;

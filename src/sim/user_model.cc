@@ -5,20 +5,6 @@
 
 namespace pisrep::sim {
 
-const char* UserProfileName(UserProfile profile) {
-  switch (profile) {
-    case UserProfile::kExpert:
-      return "expert";
-    case UserProfile::kAverage:
-      return "average";
-    case UserProfile::kNovice:
-      return "novice";
-    case UserProfile::kMalicious:
-      return "malicious";
-  }
-  return "?";
-}
-
 UserBehavior MakeUserBehavior(UserProfile profile) {
   UserBehavior b;
   b.profile = profile;

@@ -15,8 +15,6 @@ namespace pisrep::sim {
 /// users who purposely abuse the system.
 enum class UserProfile { kExpert = 0, kAverage = 1, kNovice = 2, kMalicious = 3 };
 
-const char* UserProfileName(UserProfile profile);
-
 /// Behavioural parameters of one simulated user.
 struct UserBehavior {
   UserProfile profile = UserProfile::kAverage;

@@ -20,6 +20,8 @@ using util::Status;
 
 constexpr std::uint8_t kOpPut = 0;
 constexpr std::uint8_t kOpTombstone = 1;
+/// Garbage-collect when dead bytes exceed this fraction of the file.
+constexpr double kGcDeadRatio = 0.35;
 
 /// FNV-1a 64-bit over the encoded primary key: the sparse index digest.
 std::uint64_t KeyDigest(std::string_view key_bytes) {
@@ -466,7 +468,7 @@ ColdStore::IndexFootprint ColdStore::FootprintOf(
 bool ColdStore::ShouldGc() const {
   if (file_bytes_ < options_.gc_min_file_bytes) return false;
   return static_cast<double>(dead_bytes_) >
-         options_.gc_dead_ratio * static_cast<double>(file_bytes_);
+         kGcDeadRatio * static_cast<double>(file_bytes_);
 }
 
 Result<bool> ColdStore::MaybeGc() {
@@ -474,8 +476,6 @@ Result<bool> ColdStore::MaybeGc() {
   PISREP_RETURN_IF_ERROR(RunGc());
   return true;
 }
-
-Status ColdStore::ForceGc() { return RunGc(); }
 
 Status ColdStore::RunGc() {
   // Rewrite live frames — in global append order, so per-table iteration

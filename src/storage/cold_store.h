@@ -17,9 +17,7 @@ namespace pisrep::storage {
 
 /// Tuning knobs for the cold block file (DESIGN.md §15).
 struct ColdStoreOptions {
-  /// Garbage-collect when dead bytes exceed this fraction of the file.
-  double gc_dead_ratio = 0.35;
-  /// ... but never bother below this file size: small files rewrite so
+  /// Never garbage-collect below this file size: small files rewrite so
   /// cheaply on the next threshold crossing that eager GC only adds churn.
   std::uint64_t gc_min_file_bytes = 1 << 20;
   /// Mirrors Database::OpenOptions::salvage_corruption for the block file:
@@ -128,12 +126,10 @@ class ColdStore {
   };
   IndexFootprint FootprintOf(std::string_view table) const;
 
-  /// True when dead bytes passed the configured threshold.
+  /// True when dead bytes passed the GC threshold.
   bool ShouldGc() const;
   /// Runs a GC pass when the threshold is met; returns whether it ran.
   util::Result<bool> MaybeGc();
-  /// Unconditional GC pass (tests and benchmarks).
-  util::Status ForceGc();
 
   bool recovered_with_loss() const { return recovered_with_loss_; }
   ColdStoreStats stats() const;

@@ -228,13 +228,6 @@ void Table::ForEach(const std::function<void(const Row&)>& visit) const {
   for (const Row& row : rows_) visit(row);
 }
 
-void Table::ClearUnlogged() {
-  rows_.clear();
-  primary_.clear();
-  for (auto& index : secondary_) index.clear();
-  for (auto& index : ordered_) index.clear();
-}
-
 void Table::IndexRow(std::size_t slot) {
   for (std::size_t i = 0; i < schema_.secondary_indexes().size(); ++i) {
     std::size_t col = schema_.secondary_indexes()[i];

@@ -109,10 +109,6 @@ class Table {
   /// Visits every row (unspecified order) without copying.
   void ForEach(const std::function<void(const Row&)>& visit) const;
 
-  /// Removes all rows (used by checkpoint loading). Does not notify the
-  /// listener.
-  void ClearUnlogged();
-
   /// Inserts without notifying the listener (used by WAL replay and
   /// checkpoint loading, where the row is already durable).
   util::Status InsertUnlogged(Row row);

@@ -114,10 +114,7 @@ AuditLog::AuditLog(storage::Database* db) : db_(db) {
     cps->ForEach([this](const Row& row) {
       ++checkpoint_count_;
       auto idx = static_cast<std::uint64_t>(row[0].AsInt());
-      if (idx >= last_checkpoint_index_) {
-        last_checkpoint_index_ = idx;
-        last_checkpoint_at_ = row[2].AsInt();
-      }
+      if (idx > last_checkpoint_index_) last_checkpoint_index_ = idx;
     });
   }
 }
@@ -167,7 +164,6 @@ Status AuditLog::WriteCheckpoint(const crypto::PrivateKey& key,
   }));
   if (last_checkpoint_index_ != head_index_) ++checkpoint_count_;
   last_checkpoint_index_ = head_index_;
-  last_checkpoint_at_ = at;
   return Status::Ok();
 }
 

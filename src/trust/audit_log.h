@@ -72,7 +72,6 @@ class AuditLog {
   std::uint64_t last_checkpoint_index() const {
     return last_checkpoint_index_;
   }
-  util::TimePoint last_checkpoint_at() const { return last_checkpoint_at_; }
 
  private:
   storage::Database* db_;
@@ -84,7 +83,6 @@ class AuditLog {
   std::string head_hash_;
   std::uint64_t checkpoint_count_ = 0;
   std::uint64_t last_checkpoint_index_ = 0;
-  util::TimePoint last_checkpoint_at_ = 0;
 };
 
 /// Result of recomputing the whole chain from genesis.

@@ -29,7 +29,6 @@ class CAPABILITY("mutex") Mutex {
   void Unlock() RELEASE() {
     mu_.unlock();  // pisrep-lint: allow(raw-lock-unlock)
   }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;

@@ -58,11 +58,6 @@
 #define RELEASE(...) \
   PISREP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Declares a function that acquires the capability only when it returns
-/// the given boolean value (TryLock-style APIs).
-#define TRY_ACQUIRE(...) \
-  PISREP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// Declares that the caller must NOT hold the given capabilities — the
 /// anti-deadlock annotation for functions that acquire them internally.
 #define EXCLUDES(...) PISREP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

@@ -74,20 +74,6 @@ void WriteNode(const XmlNode& node, const WriteOptions& options, int depth,
 
 }  // namespace
 
-std::string EscapeText(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  AppendEscaped(text, /*attribute=*/false, &out);
-  return out;
-}
-
-std::string EscapeAttribute(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  AppendEscaped(text, /*attribute=*/true, &out);
-  return out;
-}
-
 std::string WriteXml(const XmlNode& node, const WriteOptions& options) {
   std::string out;
   if (options.declaration) {

@@ -16,12 +16,6 @@ struct WriteOptions {
   bool declaration = false;
 };
 
-/// Escapes character data for use inside element text.
-std::string EscapeText(std::string_view text);
-
-/// Escapes character data for use inside a double-quoted attribute value.
-std::string EscapeAttribute(std::string_view text);
-
 /// Serializes the tree rooted at `node`.
 std::string WriteXml(const XmlNode& node, const WriteOptions& options = {});
 

@@ -433,7 +433,6 @@ class DegradationTest : public ::testing::Test {
 TEST_F(DegradationTest, StaleCacheAnswersOfflineWithinStaleTtl) {
   client::ClientApp::Config overrides;
   overrides.cache_ttl = 10 * kMinute;
-  overrides.cache_stale_ttl = 24 * kHour;
   overrides.rpc_timeout = 2 * kSecond;
   auto app = MakeClient("alice", std::move(overrides));
   Onboard(*app);
@@ -540,7 +539,6 @@ TEST_F(DegradationTest, ChaosCountersSurfaceInOneRegistry) {
   client::ClientApp::Config overrides;
   overrides.metrics = &registry;
   overrides.cache_ttl = 10 * kMinute;
-  overrides.cache_stale_ttl = 24 * kHour;
   overrides.rpc_timeout = 2 * kSecond;
   overrides.breaker.failure_threshold = 3;
   overrides.breaker.cooldown = 10 * kMinute;

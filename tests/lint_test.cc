@@ -58,6 +58,7 @@ TEST(LintRegistry, RulesAreRegisteredWithUniqueIds) {
   EXPECT_NE(FindChecker("unannotated-guarded-field"), nullptr);
   EXPECT_NE(FindChecker("raw-lock-unlock"), nullptr);
   EXPECT_NE(FindChecker("atomic-memory-order"), nullptr);
+  EXPECT_NE(FindChecker("uncalled-api"), nullptr);
   EXPECT_EQ(FindChecker("no-such-rule"), nullptr);
 }
 
@@ -750,6 +751,72 @@ TEST(AtomicMemoryOrder, ObsLayerIsExemptAndSuppressionWorks) {
       "void Bump() { hits_.fetch_add(1); }\n");
   EXPECT_EQ(CountRule(suppressed, "atomic-memory-order"), 0)
       << FormatHuman(suppressed);
+}
+
+// ---------------------------------------------------------------------------
+// uncalled-api
+
+constexpr char kStoreHeader[] =
+    "namespace pisrep::server {\n"
+    "class Store {\n"
+    " public:\n"
+    "  explicit Store(int capacity);\n"
+    "  ~Store();\n"
+    "  bool operator==(const Store& other) const;\n"
+    "  int Count() const;\n"         // line 7: called from tests/ only
+    "  void Compact();\n"            // line 8: called from perfbench/ only
+    "  void Forgotten();\n"          // line 9: never called
+    "};\n"
+    "std::string StoreName(const Store& store);\n"  // line 11: never called
+    "}\n";
+
+// Definitions, a comment and a string literal name every function; none of
+// them is a use.
+std::vector<SourceFile> StoreTree() {
+  return {
+      {"src/server/store.h", kStoreHeader},
+      {"src/server/store.cc",
+       "namespace pisrep::server {\n"
+       "Store::Store(int capacity) {}\n"
+       "Store::~Store() {}\n"
+       "int Store::Count() const { return 0; }\n"
+       "void pisrep::server::Store::Forgotten() {}\n"
+       "std::string StoreName(const Store& store) { return \"Forgotten\"; }\n"
+       "}\n"},
+      {"tests/store_test.cc",
+       "// Forgotten() and StoreName() are covered elsewhere.\n"
+       "TEST(Store, Counts) { EXPECT_EQ(Store(4).Count(), 0); }\n"},
+      {"perfbench/stack.cc",
+       "void Run(Store* store) { int* p = new int(1); store->Compact(); }\n"},
+  };
+}
+
+TEST(UncalledApi, FlagsFunctionsNothingCalls) {
+  auto findings = AnalyzeProject(StoreTree(), /*whole_tree=*/true);
+  EXPECT_TRUE(HasFinding(findings, "uncalled-api", "src/server/store.h", 9))
+      << FormatHuman(findings);
+  EXPECT_TRUE(HasFinding(findings, "uncalled-api", "src/server/store.h", 11));
+  // Callers in tests/ and perfbench/ count; constructors, destructors and
+  // operators are exempt; perfbench/ is read but not linted.
+  EXPECT_EQ(CountRule(findings, "uncalled-api"), 2) << FormatHuman(findings);
+  EXPECT_EQ(CountRule(findings, "raw-new-delete"), 0);
+}
+
+TEST(UncalledApi, AnyOtherMentionOfTheNameIsAUse) {
+  auto files = StoreTree();
+  files.push_back({"src/server/use.cc",
+                   "const std::string kName = server::StoreName(Store(1));\n"
+                   "void Wire() { auto fn = &Store::Forgotten; }\n"});
+  auto findings = AnalyzeProject(files, /*whole_tree=*/true);
+  EXPECT_EQ(CountRule(findings, "uncalled-api"), 0) << FormatHuman(findings);
+}
+
+TEST(UncalledApi, OnlyWholeTreeRunsReportIt) {
+  // Linting files by path cannot see every caller.
+  EXPECT_EQ(CountRule(AnalyzeProject(StoreTree()), "uncalled-api"), 0);
+  EXPECT_EQ(CountRule(AnalyzeOne("src/server/store.h", kStoreHeader),
+                      "uncalled-api"),
+            0);
 }
 
 // ---------------------------------------------------------------------------

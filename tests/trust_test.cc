@@ -948,6 +948,12 @@ TEST(TrustClientTest, PerRuleDecisionMetricsAreEmitted) {
 
   // Unknown, unlisted software: the default rule denies and the decision is
   // attributed to "<default>" in the per-rule counter.
+  auto default_denies = [&] {
+    return metrics
+        .GetCounter(obs::WithLabel("pisrep_trust_policy_deny_total", "rule",
+                                   "<default>"))
+        ->Value();
+  };
   client::FileImage image("mystery.exe", "mystery-bytes", "", "1.0");
   std::optional<client::ExecDecision> decision;
   app.HandleExecution(image,
@@ -955,12 +961,24 @@ TEST(TrustClientTest, PerRuleDecisionMetricsAreEmitted) {
   loop.RunUntil(loop.Now() + util::kMinute);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(*decision, client::ExecDecision::kDeny);
-  EXPECT_EQ(metrics
-                .GetCounter(obs::WithLabel("pisrep_trust_policy_deny_total",
-                                           "rule", "<default>"))
-                ->Value(),
-            1u);
+  EXPECT_EQ(default_denies(), 1u);
   EXPECT_EQ(PolicyDecisionsCounted(metrics), 1u);
+
+  // The client keeps each fired rule's counter: the rule firing again, and
+  // a second client on the same registry, move the same series.
+  app.HandleExecution(client::FileImage("other.exe", "other-bytes", "", "1"),
+                      [](client::ExecDecision) {});
+  loop.RunUntil(loop.Now() + util::kMinute);
+  EXPECT_EQ(default_denies(), 2u);
+  client::ClientApp::Config twin_config;
+  twin_config.address = "client-twin";
+  twin_config.policy_rules = "default deny";
+  twin_config.metrics = &metrics;
+  client::ClientApp twin(&network, &loop, std::move(twin_config));
+  twin.HandleExecution(image, [](client::ExecDecision) {});
+  loop.RunUntil(loop.Now() + util::kMinute);
+  EXPECT_EQ(default_denies(), 3u);
+  EXPECT_EQ(PolicyDecisionsCounted(metrics), 3u);
 
   // The lists decide before the policy: a whitelisted binary runs under
   // `default deny`, and no per-rule counter moves.
@@ -973,7 +991,7 @@ TEST(TrustClientTest, PerRuleDecisionMetricsAreEmitted) {
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(*decision, client::ExecDecision::kAllow);
   EXPECT_EQ(app.stats().allowed_whitelist, 1u);
-  EXPECT_EQ(PolicyDecisionsCounted(metrics), 1u);
+  EXPECT_EQ(PolicyDecisionsCounted(metrics), 3u);
 
   // Likewise a blacklisted binary is denied under `default allow`.
   client::ClientApp::Config permissive;
@@ -992,7 +1010,7 @@ TEST(TrustClientTest, PerRuleDecisionMetricsAreEmitted) {
   EXPECT_EQ(*decision, client::ExecDecision::kDeny);
   EXPECT_EQ(lenient.stats().denied_blacklist, 1u);
   EXPECT_EQ(lenient.stats().policy_denied, 0u);
-  EXPECT_EQ(PolicyDecisionsCounted(metrics), 1u);
+  EXPECT_EQ(PolicyDecisionsCounted(metrics), 3u);
 }
 
 }  // namespace

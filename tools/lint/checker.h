@@ -30,7 +30,30 @@ struct ProjectIndex {
   /// util::Result<T> anywhere in the project. Used by the discarded-status
   /// checker to recognise fallible calls without a real type system.
   std::set<std::string> fallible_functions;
+  /// True when the file set is the whole tree, so every caller is in view:
+  /// only then may uncalled-api say that a name has none.
+  bool whole_tree = false;
+  /// Whole-tree runs only: every name some file uses as an identifier
+  /// (FunctionNames::used of every file).
+  std::set<std::string> used_names;
 };
+
+/// What one file says about function names, for uncalled-api. Comments
+/// and string literals are not tokens, so they count as neither.
+struct FunctionNames {
+  struct Declaration {
+    std::string name;
+    int line = 0;
+  };
+  /// Unqualified function declarations and definitions at namespace or
+  /// class scope. Constructors, destructors and operators are left out.
+  std::vector<Declaration> declared;
+  /// Every other identifier, preprocessor lines included. A declaration
+  /// and an out-of-line `Scope::Name(` definition are not uses.
+  std::set<std::string> used;
+};
+
+FunctionNames ScanFunctionNames(const LexedFile& lexed);
 
 /// Everything a checker may look at for one file.
 struct FileContext {

@@ -789,6 +789,43 @@ class AtomicMemoryOrderChecker : public Checker {
   }
 };
 
+// ---------------------------------------------------------------------------
+// uncalled-api
+// ---------------------------------------------------------------------------
+
+/// An API that nothing calls gets a caller or goes (ROADMAP north star).
+/// Reports a function declared in a src/ header whose name no file in the
+/// tree uses as an identifier (ProjectIndex::used_names). The match is by
+/// name only, so any mention elsewhere — a call, `&Class::Name`, a call of
+/// an overload — keeps it clean, and a function with a real caller is
+/// never flagged. The rule needs every caller in view, so it runs only on
+/// whole-tree runs.
+class UncalledApiChecker : public Checker {
+ public:
+  std::string_view rule() const override { return "uncalled-api"; }
+  std::string_view description() const override {
+    return "function declared in a src/ header that nothing in src/, "
+           "tests/, bench/, examples/, perfbench/ or tools/ uses "
+           "(whole-tree runs only)";
+  }
+
+  void Check(const FileContext& ctx,
+             std::vector<Finding>* out) const override {
+    if (!ctx.index->whole_tree || !ctx.is_header ||
+        ctx.path.rfind("src/", 0) != 0) {
+      return;
+    }
+    const auto& used = ctx.index->used_names;
+    for (const auto& decl : ScanFunctionNames(*ctx.lexed).declared) {
+      if (used.count(decl.name) != 0) continue;
+      out->push_back(Finding{
+          std::string(rule()), ctx.path, decl.line,
+          "'" + decl.name + "' is declared but nothing in the tree uses "
+          "it; give it a caller or delete it"});
+    }
+  }
+};
+
 }  // namespace
 
 const std::vector<std::unique_ptr<Checker>>& AllCheckers() {
@@ -806,6 +843,7 @@ const std::vector<std::unique_ptr<Checker>>& AllCheckers() {
     v->push_back(std::make_unique<UnannotatedGuardedFieldChecker>());
     v->push_back(std::make_unique<RawLockUnlockChecker>());
     v->push_back(std::make_unique<AtomicMemoryOrderChecker>());
+    v->push_back(std::make_unique<UncalledApiChecker>());
     return v;
   }();
   return *checkers;

@@ -90,6 +90,39 @@ void IndexFile(const LexedFile& lexed, ProjectIndex* index,
   }
 }
 
+/// Identifiers that, right before `Name(`, make it an expression rather
+/// than a declaration (`return Name(x)`, `new Name(x)`), or that can never
+/// name a function (`sizeof(x)`, `if (x)`).
+bool IsKeyword(std::string_view text) {
+  static const std::set<std::string_view> kKeywords = {
+      "alignas",  "alignof",   "and",      "auto",    "bool",
+      "case",     "catch",     "char",     "class",   "co_await",
+      "co_return", "co_yield", "decltype", "delete",  "do",
+      "double",   "else",      "enum",     "explicit", "float",
+      "for",      "goto",      "if",       "int",     "long",
+      "namespace", "new",      "noexcept", "not",     "operator",
+      "or",       "requires",  "return",   "short",   "signed",
+      "sizeof",   "static_assert", "struct", "switch", "template",
+      "throw",    "typeid",    "typename", "union",   "unsigned",
+      "using",    "void",      "while",
+  };
+  return kKeywords.count(text) != 0;
+}
+
+/// True when `t` can end the type in front of a declared name: `Status
+/// Name(`, `bool Name(`, `Foo* Name(`, `std::vector<int> Name(`.
+bool EndsType(const Token& t) {
+  static const std::set<std::string_view> kBuiltinTypes = {
+      "auto", "bool",  "char",   "double",   "float", "int",
+      "long", "short", "signed", "unsigned", "void",
+  };
+  if (IsIdent(t)) {
+    return kBuiltinTypes.count(t.text) != 0 || !IsKeyword(t.text);
+  }
+  return IsPunct(t, "*") || IsPunct(t, "&") || IsPunct(t, "&&") ||
+         IsPunct(t, ">") || IsPunct(t, ">>");
+}
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -128,13 +161,157 @@ bool IsHeaderPath(std::string_view path) {
   return ends_with(".h") || ends_with(".hpp");
 }
 
+/// On whole-tree runs, perfbench/ and tools/ are read for uses of src/
+/// names but are not linted themselves.
+bool IsReadOnly(std::string_view path) {
+  return path.rfind("perfbench/", 0) == 0 || path.rfind("tools/", 0) == 0;
+}
+
 }  // namespace
 
-ProjectIndex BuildIndex(const std::vector<SourceFile>& files) {
+FunctionNames ScanFunctionNames(const LexedFile& lexed) {
+  FunctionNames out;
+  const auto& toks = lexed.tokens;
+  auto use = [&](const Token& t) {
+    if (IsIdent(t)) out.used.insert(t.text);
+  };
+
+  // A namespace or class body holds declarations. Any other brace (a
+  // function body, an initializer, a lambda, an enum) holds code, where
+  // every name is a use. Each scope keeps the state of the declaration
+  // statement it is in the middle of.
+  struct Scope {
+    bool declarations = false;
+    std::string class_name;  ///< tells a constructor from a method
+    int parens = 0;          ///< ( depth within the current statement
+    bool initializer = false;  ///< past a top-level `=`: an expression
+  };
+  std::vector<Scope> scopes(1);
+  scopes[0].declarations = true;
+  enum class Opens { kCode, kNamespace, kClass };
+  Opens opens = Opens::kCode;  // what the next `{` opens
+  bool class_head_done = false;  // past the base-clause `:`
+  std::string class_name;
+
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (IsPunct(t, "{")) {
+      Scope inner;
+      inner.declarations =
+          scopes.back().declarations && opens != Opens::kCode;
+      if (opens == Opens::kClass) inner.class_name = class_name;
+      scopes.push_back(inner);
+      opens = Opens::kCode;
+      continue;
+    }
+    if (IsPunct(t, "}")) {
+      if (scopes.size() > 1) scopes.pop_back();
+      opens = Opens::kCode;
+      continue;
+    }
+    Scope& scope = scopes.back();
+    if (!scope.declarations) {
+      use(t);
+      continue;
+    }
+    if (t.kind == TokenKind::kPunct) {
+      if (t.text == ";") {
+        opens = Opens::kCode;
+        scope.parens = 0;
+        scope.initializer = false;
+      } else if (t.text == "(") {
+        ++scope.parens;
+      } else if (t.text == ")") {
+        --scope.parens;
+      } else if (t.text == "=" && scope.parens == 0 &&
+                 !(i > 0 && IsIdent(toks[i - 1]) &&
+                   toks[i - 1].text == "operator")) {
+        scope.initializer = true;
+      } else if (t.text == ":" && opens == Opens::kClass) {
+        class_head_done = true;
+      }
+      continue;
+    }
+    if (!IsIdent(t)) continue;
+    bool before_paren = i + 1 < toks.size() && IsPunct(toks[i + 1], "(");
+
+    // `template <...>`: parameter defaults are uses, and a `class T` in
+    // there opens nothing.
+    if (t.text == "template" && i + 1 < toks.size() &&
+        IsPunct(toks[i + 1], "<")) {
+      std::size_t end = SkipAngles(toks, i + 1);
+      if (end < toks.size()) {
+        for (std::size_t j = i + 1; j < end; ++j) use(toks[j]);
+        i = end - 1;
+      }
+      continue;
+    }
+    if (scope.parens == 0 && !scope.initializer) {
+      if (t.text == "namespace") {
+        opens = Opens::kNamespace;
+        continue;
+      }
+      // `enum class` opens code: enumerators are not functions.
+      if ((t.text == "class" || t.text == "struct" || t.text == "union") &&
+          !(i > 0 && IsIdent(toks[i - 1]) && toks[i - 1].text == "enum")) {
+        opens = Opens::kClass;
+        class_name.clear();
+        class_head_done = false;
+        continue;
+      }
+      if (opens == Opens::kClass && !class_head_done && !before_paren &&
+          t.text != "final") {
+        class_name = t.text;  // the last name before `:` or `{`
+      }
+    }
+
+    if (!before_paren || scope.parens != 0 || scope.initializer ||
+        opens != Opens::kCode || IsKeyword(t.text)) {
+      use(t);
+      continue;
+    }
+    // Walk back over a qualifier: `Scope::Name(`, `ns::Tmpl<T>::Name(`.
+    std::size_t head = i;
+    while (head >= 2 && IsPunct(toks[head - 1], "::")) {
+      std::size_t q = head - 2;
+      if (IsPunct(toks[q], ">")) {
+        int depth = 0;
+        for (; q > 0; --q) {
+          if (IsPunct(toks[q], ">")) ++depth;
+          if (IsPunct(toks[q], "<") && --depth == 0) break;
+        }
+        if (q == 0) break;
+        --q;
+      }
+      if (!IsIdent(toks[q])) break;
+      head = q;
+    }
+    if (head >= 1 && IsPunct(toks[head - 1], "::")) --head;  // `::Name(`
+    if (head == 0 || !EndsType(toks[head - 1])) {
+      use(t);  // a call, or a macro at statement start
+      continue;
+    }
+    if (head == i && t.text != scope.class_name) {
+      out.declared.push_back({t.text, t.line});
+    }
+  }
+  for (const PreprocLine& pp : lexed.preproc) {
+    for (const Token& t : Lex(pp.text).tokens) use(t);
+  }
+  return out;
+}
+
+ProjectIndex BuildIndex(const std::vector<SourceFile>& files,
+                        bool whole_tree) {
   ProjectIndex index;
+  index.whole_tree = whole_tree;
   std::set<std::string> non_fallible;
   for (const auto& [path, content] : files) {
     LexedFile lexed = Lex(content);
+    if (whole_tree) {
+      index.used_names.merge(ScanFunctionNames(lexed).used);
+      if (IsReadOnly(path)) continue;
+    }
     IndexFile(lexed, &index, &non_fallible);
   }
   for (const std::string& name : non_fallible) {
@@ -209,10 +386,12 @@ std::vector<Finding> AnalyzeFile(const std::string& path,
   return findings;
 }
 
-std::vector<Finding> AnalyzeProject(const std::vector<SourceFile>& files) {
-  ProjectIndex index = BuildIndex(files);
+std::vector<Finding> AnalyzeProject(const std::vector<SourceFile>& files,
+                                    bool whole_tree) {
+  ProjectIndex index = BuildIndex(files, whole_tree);
   std::vector<Finding> findings;
   for (const auto& [path, content] : files) {
+    if (whole_tree && IsReadOnly(path)) continue;
     std::vector<Finding> file_findings = AnalyzeFile(path, content, index);
     findings.insert(findings.end(), file_findings.begin(),
                     file_findings.end());

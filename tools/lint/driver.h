@@ -16,9 +16,10 @@ namespace pisrep::lint {
 /// so that tests can feed in-memory fixtures without touching the disk.
 using SourceFile = std::pair<std::string, std::string>;
 
-/// First pass: collect project-wide facts (fallible function names) from
-/// every file.
-ProjectIndex BuildIndex(const std::vector<SourceFile>& files);
+/// First pass: collect project-wide facts from every file: fallible
+/// function names and, when `whole_tree`, the names the tree uses.
+ProjectIndex BuildIndex(const std::vector<SourceFile>& files,
+                        bool whole_tree = false);
 
 /// Suppressions present in a file: line -> rule ids allowed on that line
 /// and the one below it. The special rule id "all" allows everything.
@@ -33,8 +34,11 @@ std::vector<Finding> AnalyzeFile(const std::string& path,
                                  const ProjectIndex& index);
 
 /// Runs both passes over a file set and returns all findings, sorted by
-/// path, line, rule.
-std::vector<Finding> AnalyzeProject(const std::vector<SourceFile>& files);
+/// path, line, rule. `whole_tree` says the set is the whole repo: files
+/// under perfbench/ and tools/ then feed the first pass but are not
+/// linted, and uncalled-api runs.
+std::vector<Finding> AnalyzeProject(const std::vector<SourceFile>& files,
+                                    bool whole_tree = false);
 
 /// Baseline file format: one `rule path:line` entry per line; blank lines
 /// and lines starting with '#' are ignored.

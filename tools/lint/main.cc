@@ -3,7 +3,10 @@
 // Walks src/, tests/, bench/, and examples/ and reports violations of the
 // repo's machine-checked invariants (see DESIGN.md §8): discarded Status
 // values, wall-clock / raw-entropy use outside src/util, banned unsafe C
-// functions, include hygiene and layering, and raw new/delete.
+// functions, include hygiene and layering, raw new/delete, and src/
+// functions nothing calls. Without explicit paths it also reads
+// perfbench/ and tools/ for calls, without linting them; only such a
+// whole-tree run reports uncalled functions.
 //
 // Usage:
 //   pisrep-lint [--root <repo-root>] [--json] [--baseline <file>]
@@ -135,8 +138,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<fs::path> targets;
-  if (explicit_paths.empty()) {
-    for (const char* dir : {"src", "tests", "bench", "examples"}) {
+  bool whole_tree = explicit_paths.empty();
+  if (whole_tree) {
+    for (const char* dir :
+         {"src", "tests", "bench", "examples", "perfbench", "tools"}) {
       targets.push_back(root / dir);
     }
   } else {
@@ -150,7 +155,8 @@ int main(int argc, char** argv) {
   int rc = CollectFiles(root, targets, &files);
   if (rc != 0) return rc;
 
-  std::vector<Finding> findings = pisrep::lint::AnalyzeProject(files);
+  std::vector<Finding> findings =
+      pisrep::lint::AnalyzeProject(files, whole_tree);
 
   fs::path bp = baseline_path.empty()
                     ? root / "tools" / "lint" / "baseline.txt"
