@@ -53,8 +53,8 @@ struct ColdStoreStats {
 /// cluster snapshot-resync path share one frame format.
 ///
 /// Overwrites and tombstones strand dead bytes in the file; once they pass
-/// gc_dead_ratio, MaybeGc rewrites the live frames (in append order) into a
-/// fresh file and swaps it in. All offsets change across a GC — the owner
+/// kGcDeadRatio (0.35) of the file, MaybeGc rewrites the live frames (in
+/// append order) into a fresh file and swaps it in. All offsets change across a GC — the owner
 /// must rebuild anything that cached them (TieredTable::RebuildFromCold).
 ///
 /// Thread compatibility: mutations are single-writer (the server's writer

@@ -32,12 +32,20 @@ std::size_t SkipAngles(const std::vector<Token>& toks, std::size_t pos) {
   return toks.size();
 }
 
-/// Statement keywords that can directly precede a call: `return f(x)` is a
-/// call, `SimClock* clock()` is a declaration.
-bool IsDeclHeadKeyword(std::string_view text) {
+/// Keywords: right before `Name(` they make it an expression rather than
+/// a declaration (`return Name(x)`, `new Name(x)`, `not Name(x)`), and they
+/// never name a function themselves (`sizeof(x)`, `if (x)`). Builtin type
+/// names are not in the list: `bool Name(` is a declaration.
+bool IsKeyword(std::string_view text) {
   static const std::set<std::string_view> kKeywords = {
-      "return", "co_return", "co_await", "co_yield", "throw", "new",
-      "delete", "else", "case", "goto",
+      "alignas",   "alignof",   "and",       "case",          "catch",
+      "class",     "co_await",  "co_return", "co_yield",      "decltype",
+      "delete",    "do",        "else",      "enum",          "explicit",
+      "for",       "goto",      "if",        "namespace",     "new",
+      "noexcept",  "not",       "operator",  "or",            "requires",
+      "return",    "sizeof",    "static_assert", "struct",    "switch",
+      "template",  "throw",     "typeid",    "typename",      "union",
+      "using",     "while",
   };
   return kKeywords.count(text) != 0;
 }
@@ -74,7 +82,7 @@ void IndexFile(const LexedFile& lexed, ProjectIndex* index,
     // Open(tag)`). Names declared both ways are ambiguous at token level,
     // so BuildIndex drops them: [[nodiscard]] + -Werror still catches real
     // discards of the fallible overload exactly.
-    if (IsDeclHeadKeyword(toks[i].text)) continue;
+    if (IsKeyword(toks[i].text)) continue;
     std::size_t name_at = i + 1;
     if (name_at < toks.size() && toks[name_at].kind == TokenKind::kPunct &&
         (toks[name_at].text == "&" || toks[name_at].text == "*" ||
@@ -84,41 +92,16 @@ void IndexFile(const LexedFile& lexed, ProjectIndex* index,
     if (name_at + 1 < toks.size() && IsIdent(toks[name_at]) &&
         IsPunct(toks[name_at + 1], "(") &&
         toks[name_at].text != "operator" &&
-        !IsDeclHeadKeyword(toks[name_at].text)) {
+        !IsKeyword(toks[name_at].text)) {
       non_fallible->insert(toks[name_at].text);
     }
   }
 }
 
-/// Identifiers that, right before `Name(`, make it an expression rather
-/// than a declaration (`return Name(x)`, `new Name(x)`), or that can never
-/// name a function (`sizeof(x)`, `if (x)`).
-bool IsKeyword(std::string_view text) {
-  static const std::set<std::string_view> kKeywords = {
-      "alignas",  "alignof",   "and",      "auto",    "bool",
-      "case",     "catch",     "char",     "class",   "co_await",
-      "co_return", "co_yield", "decltype", "delete",  "do",
-      "double",   "else",      "enum",     "explicit", "float",
-      "for",      "goto",      "if",       "int",     "long",
-      "namespace", "new",      "noexcept", "not",     "operator",
-      "or",       "requires",  "return",   "short",   "signed",
-      "sizeof",   "static_assert", "struct", "switch", "template",
-      "throw",    "typeid",    "typename", "union",   "unsigned",
-      "using",    "void",      "while",
-  };
-  return kKeywords.count(text) != 0;
-}
-
 /// True when `t` can end the type in front of a declared name: `Status
 /// Name(`, `bool Name(`, `Foo* Name(`, `std::vector<int> Name(`.
 bool EndsType(const Token& t) {
-  static const std::set<std::string_view> kBuiltinTypes = {
-      "auto", "bool",  "char",   "double",   "float", "int",
-      "long", "short", "signed", "unsigned", "void",
-  };
-  if (IsIdent(t)) {
-    return kBuiltinTypes.count(t.text) != 0 || !IsKeyword(t.text);
-  }
+  if (IsIdent(t)) return !IsKeyword(t.text);
   return IsPunct(t, "*") || IsPunct(t, "&") || IsPunct(t, "&&") ||
          IsPunct(t, ">") || IsPunct(t, ">>");
 }
@@ -161,10 +144,17 @@ bool IsHeaderPath(std::string_view path) {
   return ends_with(".h") || ends_with(".hpp");
 }
 
-/// On whole-tree runs, perfbench/ and tools/ are read for uses of src/
-/// names but are not linted themselves.
+/// On whole-tree runs, files under a kWholeTree directory that is not
+/// linted are read for uses of src/ names only.
 bool IsReadOnly(std::string_view path) {
-  return path.rfind("perfbench/", 0) == 0 || path.rfind("tools/", 0) == 0;
+  for (const TreeDir& dir : kWholeTree) {
+    if (!dir.linted && path.size() > dir.path.size() &&
+        path.compare(0, dir.path.size(), dir.path) == 0 &&
+        path[dir.path.size()] == '/') {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace

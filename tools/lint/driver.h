@@ -16,10 +16,22 @@ namespace pisrep::lint {
 /// so that tests can feed in-memory fixtures without touching the disk.
 using SourceFile = std::pair<std::string, std::string>;
 
+/// A directory a whole-tree run (pisrep-lint without path arguments)
+/// reads, relative to the repo root. Files under a directory that is not
+/// `linted` are read for uses of src/ names and nothing else.
+struct TreeDir {
+  std::string_view path;
+  bool linted;
+};
+inline constexpr TreeDir kWholeTree[] = {
+    {"src", true},      {"tests", true},      {"bench", true},
+    {"examples", true}, {"perfbench", false}, {"tools", false},
+};
+
 /// First pass: collect project-wide facts from every file: fallible
 /// function names and, when `whole_tree`, the names the tree uses.
 ProjectIndex BuildIndex(const std::vector<SourceFile>& files,
-                        bool whole_tree = false);
+                        bool whole_tree);
 
 /// Suppressions present in a file: line -> rule ids allowed on that line
 /// and the one below it. The special rule id "all" allows everything.
@@ -34,9 +46,9 @@ std::vector<Finding> AnalyzeFile(const std::string& path,
                                  const ProjectIndex& index);
 
 /// Runs both passes over a file set and returns all findings, sorted by
-/// path, line, rule. `whole_tree` says the set is the whole repo: files
-/// under perfbench/ and tools/ then feed the first pass but are not
-/// linted, and uncalled-api runs.
+/// path, line, rule. `whole_tree` says the set is the kWholeTree
+/// directories: files under the ones not linted then feed the first pass
+/// only, and uncalled-api runs.
 std::vector<Finding> AnalyzeProject(const std::vector<SourceFile>& files,
                                     bool whole_tree = false);
 

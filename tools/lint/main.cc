@@ -140,9 +140,8 @@ int main(int argc, char** argv) {
   std::vector<fs::path> targets;
   bool whole_tree = explicit_paths.empty();
   if (whole_tree) {
-    for (const char* dir :
-         {"src", "tests", "bench", "examples", "perfbench", "tools"}) {
-      targets.push_back(root / dir);
+    for (const pisrep::lint::TreeDir& dir : pisrep::lint::kWholeTree) {
+      targets.push_back(root / dir.path);
     }
   } else {
     for (const std::string& p : explicit_paths) {
